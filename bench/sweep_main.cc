@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,13 +68,10 @@ usage(int exit_code)
         "  --nvram-device D   NVRAM preset for every cell: paper-pcm,\n"
         "                     stt-mram, flash, dram-only (default:\n"
         "                     paper-pcm, the Table 2 device)\n"
-        "  --jobs N           worker threads (default 1)\n"
-        "  --cell-threads N   host threads per cell (default 1):\n"
-        "                     N-1 ghost speculation threads prefetch\n"
-        "                     ahead of each cell's simulation; results\n"
-        "                     are bit-identical for any N.  Shares the\n"
-        "                     host-thread budget with --jobs (workers\n"
-        "                     are clamped so jobs*N fits the machine)\n"
+        "  --jobs N           worker threads, each running one\n"
+        "                     single-threaded cell at a time\n"
+        "                     (default 1; results are identical\n"
+        "                     for any N)\n"
         "  --txs N            transactions per cell (default: figure)\n"
         "  --seed N           base RNG seed (default 42)\n"
         "  --json PATH        output path (default BENCH_<figure>.json)\n"
@@ -91,7 +89,6 @@ struct CliArgs
     std::string figure;
     SweepGridOptions grid;
     unsigned jobs = 1;
-    unsigned cellThreads = 1;
     std::string jsonPath;
     bool time = false;
     bool quiet = false;
@@ -158,13 +155,14 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--nvram-device") {
             args.grid.nvramDevice = parseNvramDevice(next_value(i));
         } else if (arg == "--jobs") {
-            args.jobs = static_cast<unsigned>(
-                std::stoul(next_value(i)));
-        } else if (arg == "--cell-threads") {
-            // Fatal on anything outside [1, 64], like the count lists.
-            args.cellThreads = parseCellThreads(next_value(i));
+            // parseCount is fatal on zero, signs and trailing junk, like
+            // the count lists above.
+            args.jobs = static_cast<unsigned>(parseCount(
+                arg, next_value(i), std::numeric_limits<unsigned>::max()));
         } else if (arg == "--txs") {
-            args.grid.txs = std::stoull(next_value(i));
+            args.grid.txs = parseCount(
+                arg, next_value(i),
+                std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--seed") {
             args.grid.scale.seed = std::stoull(next_value(i));
         } else if (arg == "--json") {
@@ -255,13 +253,10 @@ try {
                      args.figure.c_str());
         return 2;
     }
-    std::string summary = "sweep " + args.figure + ": " +
-                          std::to_string(cells.size()) + " cell(s), " +
-                          std::to_string(args.jobs) + " job(s)";
-    if (args.cellThreads > 1) {
-        summary +=
-            ", " + std::to_string(args.cellThreads) + " cell thread(s)";
-    }
+    const std::string summary = "sweep " + args.figure + ": " +
+                                std::to_string(cells.size()) +
+                                " cell(s), " + std::to_string(args.jobs) +
+                                " job(s)";
     std::printf("%s", banner(summary).c_str());
 
     CellCallback progress;
@@ -276,7 +271,7 @@ try {
     }
 
     const std::vector<CellResult> results =
-        runSweep(cells, args.jobs, progress, args.cellThreads);
+        runSweep(cells, args.jobs, progress);
 
     TextTable table({"cell", "tps", "nvram writes", "logging writes",
                      "avg lines/tx"});

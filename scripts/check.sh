@@ -3,13 +3,18 @@
 # Full local CI pipeline: configure, build, run the test suite, then
 # prove the sweep/JSON pipeline end to end with one smoke cell.
 #
-# Usage: scripts/check.sh [--lint] [--tsan] [build-dir]  (default: build)
+# Usage: scripts/check.sh [--lint] [--tsan] [--regen] [build-dir]
+#        (default build-dir: build)
 #
 #   --lint   also run clang-format --dry-run --Werror over every
 #            tracked C++ source (mirrors the CI format-lint job).
 #   --tsan   configure a separate Debug build with -fsanitize=thread
 #            and run ctest only (mirrors the CI gcc-debug-tsan leg);
 #            the sweep/JSON pipeline steps are skipped.
+#   --regen  build, then regenerate all nine checked-in BENCH_*.json
+#            grids into <build-dir>/regen/ and cmp each against the
+#            checked-in file (mirrors the CI gcc-release regeneration
+#            gate); ctest and the other pipeline steps are skipped.
 
 set -euo pipefail
 
@@ -17,10 +22,12 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
 run_lint=0
 run_tsan=0
+run_regen=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --lint) run_lint=1; shift ;;
         --tsan) run_tsan=1; shift ;;
+        --regen) run_regen=1; shift ;;
         *) break ;;
     esac
 done
@@ -53,10 +60,26 @@ fi
 echo "== build (-j$jobs) =="
 cmake --build "$build_dir" -j "$jobs"
 
+if [ "$run_regen" = 1 ]; then
+    # Every checked-in report must regenerate byte-identically from the
+    # current tree at default flags and any --jobs value.
+    mkdir -p "$build_dir/regen"
+    for figure in smoke scale scale64 scale256 chan queue shard fault fig5; do
+        echo "== regenerate BENCH_$figure.json =="
+        "$build_dir/sweep_main" --figure "$figure" --jobs "$jobs" --quiet \
+            --json "$build_dir/regen/BENCH_$figure.json" >/dev/null
+        cmp "$repo_root/BENCH_$figure.json" \
+            "$build_dir/regen/BENCH_$figure.json"
+    done
+    echo "OK (regen)"
+    exit 0
+fi
+
 echo "== ctest =="
 if [ "$run_tsan" = 1 ]; then
-    # Any TSan report fails the run; the suite forces ghost threads on
-    # via SSP_FORCE_GHOSTS so even single-CPU hosts race-test them.
+    # Any TSan report fails the run.  The --jobs worker pool is the
+    # only code that runs simulation on more than one host thread; the
+    # sweep-runner tests drive it with several workers.
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
     echo "OK (tsan)"
@@ -67,6 +90,11 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 echo "== smoke sweep =="
 "$build_dir/sweep_main" --figure smoke --jobs 2 \
     --json "$repo_root/BENCH_smoke.json"
+
+echo "== bad --txs exits 2 =="
+status=0
+"$build_dir/sweep_main" --figure smoke --txs -1 2>/dev/null || status=$?
+[ "$status" = 2 ]
 
 echo "== scale sweep (single-core cells) =="
 "$build_dir/sweep_main" --figure scale --cores 1 --jobs 2 --quiet \

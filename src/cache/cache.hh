@@ -132,21 +132,6 @@ class Cache
     /** Drop everything (simulated power failure). */
     void invalidateAll();
 
-    /**
-     * Prefetch hint for @p line_addr's set (the tag words and LRU
-     * stamps a later lookup will scan).  Issued by ghost speculation
-     * threads ahead of the authoritative core; __builtin_prefetch is a
-     * pure hint — no tag state is read or written, so a concurrent
-     * authoritative mutation of the set is not a data race.
-     */
-    void
-    prefetchSet(Addr line_addr) const
-    {
-        const std::uint64_t base = setOf(line_addr) * params_.ways;
-        __builtin_prefetch(&tags_[base], 0, 3);
-        __builtin_prefetch(&lru_[base], 0, 3);
-    }
-
     Cycles latency() const { return params_.latency; }
     const CacheParams &params() const { return params_; }
 

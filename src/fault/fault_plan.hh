@@ -5,7 +5,7 @@
  * A FaultPlan is a cycle-scheduled list of machine failures drawn
  * up-front from one RNG stream derived from the cell seed — so a cell's
  * fault sequence is a pure function of its coordinates and replays
- * bit-identically across --jobs, --cell-threads and host machines.
+ * bit-identically across --jobs values and host machines.
  * Inter-arrival times are integer draws (uniform around the requested
  * mean), never floating-point exponentials, so the schedule cannot
  * drift across libm implementations.

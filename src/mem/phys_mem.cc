@@ -1,7 +1,5 @@
 #include "mem/phys_mem.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace ssp
@@ -11,13 +9,7 @@ PhysMem::PhysMem(std::uint64_t nvram_pages, std::uint64_t dram_pages)
     : nvramPages_(nvram_pages), dramPages_(dram_pages)
 {
     ssp_assert(nvram_pages > 0);
-    pages_.resize(totalPages(), nullptr);
-}
-
-PhysMem::~PhysMem()
-{
-    for (std::uint8_t *page : pages_)
-        delete[] page;
+    pages_.resize(totalPages());
 }
 
 std::uint8_t *
@@ -29,11 +21,9 @@ PhysMem::allocPage(Ppn ppn)
     // above keep only the debug-build assert.
     ssp_assert(ppn < totalPages(), "ppn %llx out of range",
                static_cast<unsigned long long>(ppn));
-    auto *page = new std::uint8_t[kPageSize];
+    pages_[ppn] = std::make_unique<std::uint8_t[]>(kPageSize);
+    std::uint8_t *page = pages_[ppn].get();
     std::memset(page, 0, kPageSize);
-    // Release store so a ghost's acquire load sees the zeroed page.
-    std::atomic_ref<std::uint8_t *>(pages_[ppn])
-        .store(page, std::memory_order_release);
     return page;
 }
 
@@ -62,7 +52,7 @@ PhysMem::writeSlow(Addr addr, const void *buf, std::uint64_t size)
     while (size > 0) {
         std::uint64_t in_page = std::min<std::uint64_t>(
             size, kPageSize - pageOffset(addr));
-        storeBytes(pageFor(addr, true) + pageOffset(addr), in, in_page);
+        std::memcpy(pageFor(addr, true) + pageOffset(addr), in, in_page);
         addr += in_page;
         in += in_page;
         size -= in_page;
@@ -94,11 +84,8 @@ PhysMem::write64(Addr addr, std::uint64_t value)
 void
 PhysMem::powerFail()
 {
-    for (Ppn ppn = nvramPages_; ppn < totalPages(); ++ppn) {
-        delete[] pages_[ppn];
-        std::atomic_ref<std::uint8_t *>(pages_[ppn])
-            .store(nullptr, std::memory_order_release);
-    }
+    for (Ppn ppn = nvramPages_; ppn < totalPages(); ++ppn)
+        pages_[ppn].reset();
     // The lookup cache may point at a just-released DRAM page.
     lastPpn_ = kInvalidPpn;
     lastPage_ = nullptr;
@@ -112,11 +99,11 @@ PhysMem::snapshotNvram() const
     // measurable churn there.
     std::uint64_t allocated = 0;
     for (Ppn ppn = 0; ppn < nvramPages_; ++ppn)
-        allocated += pagePtr(ppn) != nullptr ? 1 : 0;
+        allocated += pages_[ppn] != nullptr ? 1 : 0;
     std::unordered_map<Ppn, std::vector<std::uint8_t>> snap;
     snap.reserve(allocated);
     for (Ppn ppn = 0; ppn < nvramPages_; ++ppn) {
-        const std::uint8_t *page = pagePtr(ppn);
+        const std::uint8_t *page = pages_[ppn].get();
         if (page == nullptr)
             continue;
         snap.emplace(ppn, std::vector<std::uint8_t>(page, page + kPageSize));
@@ -128,8 +115,8 @@ std::uint64_t
 PhysMem::allocatedPages() const
 {
     std::uint64_t n = 0;
-    for (Ppn ppn = 0; ppn < totalPages(); ++ppn)
-        n += pagePtr(ppn) != nullptr ? 1 : 0;
+    for (const auto &page : pages_)
+        n += page != nullptr ? 1 : 0;
     return n;
 }
 

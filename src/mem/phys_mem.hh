@@ -11,21 +11,13 @@
  * used by the crash-injection tests; the DRAM region is simply cleared on
  * a simulated power failure.
  *
- * Concurrency: ghost speculation threads (src/sim/ghost.*) read page
- * data ahead of the authoritative simulation thread to warm host cache
- * lines.  Their reads are benign by design — a stale value only
- * mis-targets a prefetch — but must be data-race-free for TSan.  The
- * write path therefore stores word-wise through relaxed atomics (on
- * x86-64 this compiles to the same plain stores a memcpy would issue),
- * page pointers publish through release/acquire, and ghosts read with
- * ghostRead64()/ghostPrefetchLine().  The authoritative read path stays
- * memcpy: ghosts never write, so reads race with nothing.
+ * A PhysMem belongs to one machine and is driven by one host thread;
+ * it has no internal synchronization.
  */
 
 #ifndef SSP_MEM_PHYS_MEM_HH
 #define SSP_MEM_PHYS_MEM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -48,10 +40,6 @@ class PhysMem
      *                   starting at physical page nvram_pages.
      */
     PhysMem(std::uint64_t nvram_pages, std::uint64_t dram_pages);
-    ~PhysMem();
-
-    PhysMem(const PhysMem &) = delete;
-    PhysMem &operator=(const PhysMem &) = delete;
 
     /**
      * Read @p size bytes at physical address @p addr into @p buf.
@@ -77,7 +65,7 @@ class PhysMem
     write(Addr addr, const void *buf, std::uint64_t size)
     {
         if (fitsInPage(addr, size)) {
-            storeBytes(pageFor(addr, true) + pageOffset(addr), buf, size);
+            std::memcpy(pageFor(addr, true) + pageOffset(addr), buf, size);
             return;
         }
         writeSlow(addr, buf, size);
@@ -91,50 +79,6 @@ class PhysMem
 
     /** Write a little-endian uint64 at @p addr. */
     void write64(Addr addr, std::uint64_t value);
-
-    /**
-     * Lock-free 64-bit read for ghost speculation threads: @p addr must
-     * be 8-byte aligned; an unallocated page reads as 0.  Relaxed
-     * atomic, so it races benignly with authoritative stores — the
-     * value steers only prefetch traversal, never simulated state.
-     */
-    std::uint64_t
-    ghostRead64(Addr addr) const noexcept
-    {
-        const Ppn ppn = pageOf(addr);
-        if (ppn >= totalPages() || (addr & 7) != 0)
-            return 0;
-        const std::uint8_t *page =
-            std::atomic_ref<std::uint8_t *>(
-                const_cast<std::uint8_t *&>(pages_[ppn]))
-                .load(std::memory_order_acquire);
-        if (page == nullptr)
-            return 0;
-        const auto *word = reinterpret_cast<const std::uint64_t *>(
-            page + pageOffset(addr));
-        return std::atomic_ref<std::uint64_t>(
-                   const_cast<std::uint64_t &>(*word))
-            .load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Prefetch hint for the host cache line backing @p addr; safe from
-     * ghost threads (no data is read, and an unallocated page is a
-     * no-op).
-     */
-    void
-    ghostPrefetchLine(Addr addr) const noexcept
-    {
-        const Ppn ppn = pageOf(addr);
-        if (ppn >= totalPages())
-            return;
-        const std::uint8_t *page =
-            std::atomic_ref<std::uint8_t *>(
-                const_cast<std::uint8_t *&>(pages_[ppn]))
-                .load(std::memory_order_acquire);
-        if (page != nullptr)
-            __builtin_prefetch(page + pageOffset(addr), 0, 3);
-    }
 
     /** True if @p ppn lies in the NVRAM region. */
     bool isNvramPage(Ppn ppn) const { return ppn < nvramPages_; }
@@ -163,53 +107,6 @@ class PhysMem
     void writeSlow(Addr addr, const void *buf, std::uint64_t size);
     std::uint8_t *allocPage(Ppn ppn);
 
-    /**
-     * Store @p size bytes to page memory through relaxed atomics so
-     * concurrent ghost reads are race-free.  Aligned 8-byte words go
-     * word-wise (the common case: every store64 and line copy), ragged
-     * head/tail bytes go byte-wise.
-     */
-    static void
-    storeBytes(std::uint8_t *dst, const void *src, std::uint64_t size)
-    {
-        const auto *in = static_cast<const std::uint8_t *>(src);
-        // Ragged head up to 8-byte alignment.
-        while (size > 0 && (reinterpret_cast<std::uintptr_t>(dst) & 7) != 0) {
-            std::atomic_ref<std::uint8_t>(*dst).store(
-                *in, std::memory_order_relaxed);
-            ++dst;
-            ++in;
-            --size;
-        }
-        while (size >= 8) {
-            std::uint64_t word;
-            std::memcpy(&word, in, 8);
-            std::atomic_ref<std::uint64_t>(
-                *reinterpret_cast<std::uint64_t *>(dst))
-                .store(word, std::memory_order_relaxed);
-            dst += 8;
-            in += 8;
-            size -= 8;
-        }
-        while (size > 0) {
-            std::atomic_ref<std::uint8_t>(*dst).store(
-                *in, std::memory_order_relaxed);
-            ++dst;
-            ++in;
-            --size;
-        }
-    }
-
-    /** Plain pointer load of @p ppn's backing page (authoritative
-     *  thread only; ghosts use the acquire loads above). */
-    std::uint8_t *
-    pagePtr(Ppn ppn) const
-    {
-        return std::atomic_ref<std::uint8_t *>(
-                   const_cast<std::uint8_t *&>(pages_[ppn]))
-            .load(std::memory_order_relaxed);
-    }
-
     /** Backing page for @p addr, allocating on demand when @p create. */
     std::uint8_t *
     pageFor(Addr addr, bool create)
@@ -219,7 +116,7 @@ class PhysMem
             return lastPage_;
         ssp_assert_dbg(ppn < totalPages(), "paddr %llx out of range",
                        static_cast<unsigned long long>(addr));
-        std::uint8_t *page = pagePtr(ppn);
+        std::uint8_t *page = pages_[ppn].get();
         if (page == nullptr) {
             if (!create)
                 return nullptr;
@@ -239,7 +136,7 @@ class PhysMem
             return lastPage_;
         ssp_assert_dbg(ppn < totalPages(), "paddr %llx out of range",
                        static_cast<unsigned long long>(addr));
-        std::uint8_t *page = pagePtr(ppn);
+        std::uint8_t *page = pages_[ppn].get();
         if (page != nullptr) {
             // Only present pages are cached: a later write may
             // allocate this ppn, and a stale "absent" entry would
@@ -256,13 +153,11 @@ class PhysMem
      * Flat ppn-indexed table of lazily-allocated pages; null entries
      * read as zero.  Every functional byte of the simulation goes
      * through here, so the lookup must be an array index, not a hash.
-     * Raw pointers (freed in the destructor) so ghost threads can load
-     * entries through std::atomic_ref; allocPage publishes with a
-     * release store.
+     * Eight bytes per simulated page keeps even multi-GiB machines at
+     * a few MiB of table.
      */
-    std::vector<std::uint8_t *> pages_;
-    /** One-entry lookup cache: consecutive accesses hit one page.
-     *  Authoritative-thread state only — ghosts never touch it. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+    /** One-entry lookup cache: consecutive accesses hit one page. */
     mutable Ppn lastPpn_ = kInvalidPpn;
     mutable std::uint8_t *lastPage_ = nullptr;
 };

@@ -18,17 +18,6 @@ buildExperiment(BackendKind backend_kind, WorkloadKind workload_kind,
     exp.workload =
         makeWorkload(workload_kind, *exp.backend, *exp.alloc, scale);
     exp.workload->setup();
-
-    MemoryBus &bus = exp.backend->machine().bus();
-    exp.baseCycles = exp.backend->machine().maxClock();
-    exp.baseNvramWrites = bus.nvramWrites();
-    exp.baseLoggingWrites = exp.backend->loggingWrites();
-    exp.baseDataWrites = bus.nvramWrites(WriteCategory::Data) +
-                         bus.nvramWrites(WriteCategory::PageCopy);
-    exp.baseConsolidationWrites =
-        bus.nvramWrites(WriteCategory::Consolidation);
-    exp.baseCheckpointWrites = bus.nvramWrites(WriteCategory::Checkpoint);
-    exp.baseCommits = exp.backend->committedTxs();
     return exp;
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Builds a complete experiment: a backend (one of the four designs), an
  * allocator over its persistent heap, and a workload — then runs the
- * setup phase and zeroes the measurement baseline.
+ * setup phase.  The measured run snapshots its own baseline
+ * (captureRunBaseline in sim/driver.hh).
  */
 
 #ifndef SSP_SIM_SYSTEM_BUILDER_HH
@@ -23,20 +24,10 @@ struct Experiment
     std::unique_ptr<AtomicityBackend> backend;
     std::unique_ptr<PersistAlloc> alloc;
     std::unique_ptr<Workload> workload;
-
-    /** Measurement baselines captured after setup. */
-    Cycles baseCycles = 0;
-    std::uint64_t baseNvramWrites = 0;
-    std::uint64_t baseLoggingWrites = 0;
-    std::uint64_t baseDataWrites = 0;
-    std::uint64_t baseConsolidationWrites = 0;
-    std::uint64_t baseCheckpointWrites = 0;
-    std::uint64_t baseCommits = 0;
 };
 
 /**
- * Construct backend + allocator + workload, run Workload::setup(), and
- * capture the measurement baseline.
+ * Construct backend + allocator + workload and run Workload::setup().
  */
 Experiment buildExperiment(BackendKind backend_kind,
                            WorkloadKind workload_kind, const SspConfig &cfg,

@@ -26,7 +26,7 @@ constexpr std::uint64_t kArrivalSeedOrdinal = 101;
 constexpr std::uint64_t kRouteSeedOrdinal = 211;
 
 CellResult
-runOneCell(const SweepCell &cell, unsigned cell_threads)
+runOneCell(const SweepCell &cell)
 {
     CellResult res;
     res.cell = cell;
@@ -40,9 +40,7 @@ runOneCell(const SweepCell &cell, unsigned cell_threads)
             // Cluster cell: each machine gets its own Experiment (own
             // seed stream, see Cluster::shardSeed) and the routing
             // stream deciding which slots go cross-shard draws from a
-            // third, independent stream.  Ghost speculation is a
-            // single-machine Rounds feature, so cluster cells ignore
-            // the cell-thread budget.
+            // third, independent stream.
             shard::Cluster cluster(cell.backend, cell.workload,
                                    cell.config(), cell.scale,
                                    cell.machines);
@@ -83,8 +81,6 @@ runOneCell(const SweepCell &cell, unsigned cell_threads)
             // Open-loop cell: txs counts generated requests, and the
             // arrival process draws from its own stream so the key
             // stream stays identical to the closed-loop cells'.
-            // Ghost speculation is Rounds-only, so serve cells ignore
-            // the cell-thread budget.
             serve::ServeParams params;
             params.arrival = cell.arrival;
             params.offeredLoad = cell.offeredLoad;
@@ -93,8 +89,7 @@ runOneCell(const SweepCell &cell, unsigned cell_threads)
             res.run = serve::runServeExperiment(exp, cell.txs,
                                                 cell.cores, params);
         } else {
-            res.run = runExperiment(exp, cell.txs, cell.cores,
-                                    ScheduleMode::Rounds, cell_threads);
+            res.run = runExperiment(exp, cell.txs, cell.cores);
         }
         res.ok = true;
     } catch (const std::exception &e) {
@@ -111,24 +106,13 @@ runOneCell(const SweepCell &cell, unsigned cell_threads)
 
 std::vector<CellResult>
 runSweep(const std::vector<SweepCell> &cells, unsigned jobs,
-         const CellCallback &on_cell, unsigned cell_threads)
+         const CellCallback &on_cell)
 {
     std::vector<CellResult> results(cells.size());
     if (cells.empty())
         return results;
 
     jobs = std::max(1u, jobs);
-    cell_threads = std::max(1u, cell_threads);
-    if (cell_threads > 1) {
-        // One global host-thread budget: each worker drives
-        // cell_threads host threads (itself + ghosts), so the worker
-        // count shrinks to keep jobs * cell_threads within the
-        // hardware.  cell_threads == 1 keeps the historical unclamped
-        // --jobs semantics.
-        const unsigned hw = std::max(1u,
-                                     std::thread::hardware_concurrency());
-        jobs = std::max(1u, std::min(jobs, hw / cell_threads));
-    }
     jobs = static_cast<unsigned>(
         std::min<std::size_t>(jobs, cells.size()));
 
@@ -141,7 +125,7 @@ runSweep(const std::vector<SweepCell> &cells, unsigned jobs,
             const std::size_t i = next.fetch_add(1);
             if (i >= cells.size())
                 return;
-            results[i] = runOneCell(cells[i], cell_threads);
+            results[i] = runOneCell(cells[i]);
             const std::size_t finished = done.fetch_add(1) + 1;
             if (on_cell) {
                 std::lock_guard<std::mutex> lock(cb_mutex);

@@ -20,9 +20,9 @@ PageTable::map(Vpn vpn, Ppn ppn)
 {
     ssp_assert(ppn != kInvalidPpn);
     if (vpn < densePages_) {
-        if (relaxedLoad(dense_[vpn]) == 0)
+        if (dense_[vpn] == 0)
             ++size_;
-        relaxedStore(dense_[vpn], ppn + 1);
+        dense_[vpn] = ppn + 1;
         return;
     }
     size_ += overflow_.contains(vpn) ? 0 : 1;
@@ -33,9 +33,9 @@ bool
 PageTable::unmap(Vpn vpn)
 {
     if (vpn < densePages_) {
-        if (relaxedLoad(dense_[vpn]) == 0)
+        if (dense_[vpn] == 0)
             return false;
-        relaxedStore(dense_[vpn], 0);
+        dense_[vpn] = 0;
         --size_;
         return true;
     }
@@ -49,7 +49,7 @@ bool
 PageTable::isMapped(Vpn vpn) const
 {
     if (vpn < densePages_)
-        return relaxedLoad(dense_[vpn]) != 0;
+        return dense_[vpn] != 0;
     return overflow_.contains(vpn);
 }
 
@@ -57,7 +57,7 @@ Ppn
 PageTable::translate(Vpn vpn) const
 {
     if (vpn < densePages_) {
-        const std::uint64_t e = relaxedLoad(dense_[vpn]);
+        const std::uint64_t e = dense_[vpn];
         ssp_assert(e != 0, "translate of unmapped vpn %llx",
                    static_cast<unsigned long long>(vpn));
         return e - 1;

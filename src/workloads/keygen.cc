@@ -27,14 +27,6 @@ KeyGenerator::KeyGenerator(KeyDist dist, std::uint64_t key_space,
     }
 }
 
-KeyGenerator::KeyGenerator(const KeyGenerator &other)
-    : dist_(other.dist_), keySpace_(other.keySpace_),
-      uniform_(other.uniform_),
-      zipf_(other.zipf_ ? std::make_unique<ZipfGenerator>(*other.zipf_)
-                        : nullptr)
-{
-}
-
 std::uint64_t
 KeyGenerator::next()
 {

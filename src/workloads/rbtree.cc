@@ -1,70 +1,9 @@
 #include "workloads/rbtree.hh"
 
 #include "common/logging.hh"
-#include "sim/ghost.hh"
 
 namespace ssp
 {
-
-namespace
-{
-
-/** Replays the key stream and prefetches the BST descent to the key. */
-class RbTreeGhost final : public GhostSpeculator
-{
-  public:
-    RbTreeGhost(const KeyGenerator &keys, unsigned key_shards,
-                Addr root_addr)
-        : keys_(keys), keyShards_(key_shards), rootAddr_(root_addr)
-    {
-    }
-
-    GhostPlan
-    draw(std::uint64_t) override
-    {
-        GhostPlan plan;
-        plan.arg0 = keys_.next();
-        plan.valid = true;
-        return plan;
-    }
-
-    void
-    traverse(const GhostPlan &plan, CoreId core,
-             const GhostReader &reader) override
-    {
-        std::uint64_t key = plan.arg0;
-        if (keyShards_ > 1) {
-            const std::uint64_t shard = keys_.keySpace() / keyShards_;
-            key = key % shard + (core % keyShards_) * shard;
-        }
-        reader.prefetch(core, rootAddr_);
-        Addr n = reader.read64(rootAddr_);
-        // Nodes are {key, val, left(+16), right(+24), parent|color};
-        // bounded depth guards against stale pointers mid-rotation.
-        for (unsigned depth = 0; depth < 64 && n != 0; ++depth) {
-            reader.prefetch(core, n);
-            const std::uint64_t k = reader.read64(n);
-            if (k == key)
-                break;
-            n = reader.read64(n + (key < k ? 16 : 24));
-        }
-    }
-
-  private:
-    KeyGenerator keys_;
-    unsigned keyShards_;
-    Addr rootAddr_;
-};
-
-} // namespace
-
-std::unique_ptr<GhostSpeculator>
-RbTreeWorkload::makeGhostSpeculator() const
-{
-    if (rootAddr_ == 0)
-        return nullptr; // setup() has not run
-    return std::make_unique<RbTreeGhost>(keys_, keyShards_, rootAddr_);
-}
 
 RbTreeWorkload::RbTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                                std::uint64_t key_space, KeyDist dist,

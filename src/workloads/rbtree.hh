@@ -37,7 +37,6 @@ class RbTreeWorkload : public Workload
     void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
-    std::unique_ptr<GhostSpeculator> makeGhostSpeculator() const override;
 
     std::uint64_t size() const { return reference_.size(); }
 

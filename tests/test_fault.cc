@@ -6,8 +6,7 @@
  * presumed abort; participant crash by vote timeout — and a crash swept
  * across every window never loses or duplicates an outcome), the
  * FaultInjector end to end on a cluster run, serve-path fault epochs,
- * and determinism of the fault sweep grid across worker counts and
- * cell-thread budgets.
+ * and determinism of the fault sweep grid across worker counts.
  */
 
 #include <set>
@@ -566,7 +565,7 @@ TEST(RunHooks, BeforeOpFiresOncePerSlotInBothSchedulers)
         std::uint64_t calls = 0;
         RunHooks hooks;
         hooks.beforeOp = [&](std::uint64_t) { ++calls; };
-        const RunResult res = runExperiment(exp, 120, 2, mode, 1, hooks);
+        const RunResult res = runExperiment(exp, 120, 2, mode, hooks);
         EXPECT_EQ(calls, 120u);
         EXPECT_EQ(res.committedTxs, 120u);
     }
@@ -583,8 +582,8 @@ TEST(RunHooks, MidRunCrashBetweenOpsKeepsEveryCommit)
             exp.backend->recover();
         }
     };
-    const RunResult res = runExperiment(exp, 120, 2,
-                                        ScheduleMode::Rounds, 1, hooks);
+    const RunResult res =
+        runExperiment(exp, 120, 2, ScheduleMode::Rounds, hooks);
     EXPECT_EQ(res.committedTxs, 120u);
     EXPECT_TRUE(exp.workload->verify());
 }
@@ -688,17 +687,15 @@ smallFaultGrid()
     return sweep::buildFigureGrid("fault", opts);
 }
 
-TEST(FaultSweep, CellsAreDeterministicAcrossJobsAndCellThreads)
+TEST(FaultSweep, CellsAreDeterministicAcrossJobs)
 {
     const auto cells = smallFaultGrid();
     ASSERT_EQ(cells.size(), 2u * 2u * 2u);
     const auto serial = sweep::runSweep(cells, 1);
     const auto parallel = sweep::runSweep(cells, 3);
-    const auto threaded = sweep::runSweep(cells, 2, {}, 8);
     const std::string want =
         sweep::sweepReport("fault", serial).dump(2);
     EXPECT_EQ(want, sweep::sweepReport("fault", parallel).dump(2));
-    EXPECT_EQ(want, sweep::sweepReport("fault", threaded).dump(2));
 }
 
 TEST(FaultSweep, ReportGatesFaultMetricsOnTheInjectingCells)

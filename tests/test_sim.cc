@@ -101,14 +101,15 @@ TEST(Driver, MetricsAreDeltasOverSetup)
     auto exp = buildExperiment(BackendKind::Ssp, WorkloadKind::HashRand,
                                cfg, scale);
     // Setup already committed transactions and wrote NVRAM...
-    EXPECT_GT(exp.baseCommits, 0u);
-    EXPECT_GT(exp.baseNvramWrites, 0u);
+    const RunBaseline setup = captureRunBaseline(exp);
+    EXPECT_GT(setup.commits, 0u);
+    EXPECT_GT(setup.nvramWrites, 0u);
     // ...but the run result reports only the measured phase.
     RunResult res = runExperiment(exp, 50, 1);
     EXPECT_EQ(res.committedTxs, 50u);
     EXPECT_GT(res.cycles, 0u);
     EXPECT_GT(res.nvramWrites, 0u);
-    EXPECT_LT(res.nvramWrites, exp.baseNvramWrites);
+    EXPECT_LT(res.nvramWrites, setup.nvramWrites);
 }
 
 TEST(Driver, TpsMatchesCyclesAndFrequency)

@@ -1,12 +1,16 @@
 /**
  * @file
  * Sweep subsystem tests: grid construction, determinism of the parallel
- * runner (identical results for any worker count), and JSON round-trip
- * of the emitted BENCH_*.json report.
+ * runner (identical results for any worker count), JSON round-trip of
+ * the emitted BENCH_*.json report, replay of a filtered slice of every
+ * checked-in BENCH_*.json, and the CLI count parsers.
  */
 
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -367,6 +371,25 @@ TEST(SweepCli, EmptyOrInvalidCountListIsFatalNotASilentDefault)
                  std::runtime_error);
 }
 
+TEST(SweepCli, CountRejectsInvalidValues)
+{
+    // --jobs and --txs go through the list parser's element parser;
+    // ssp_fatal throws std::runtime_error, which sweep_main turns into
+    // exit code 2.
+    for (const char *bad : {"0", "65", "4x", "", "-2", "-1", "+4", " 4",
+                            "four"}) {
+        EXPECT_THROW(parseCount("--jobs", bad, 64), std::runtime_error)
+            << "'" << bad << "'";
+    }
+    const std::uint64_t any = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_THROW(parseCount("--txs", "-1", any), std::runtime_error);
+    EXPECT_THROW(parseCount("--txs", "2x", any), std::runtime_error);
+    EXPECT_THROW(parseCount("--txs", "18446744073709551616", any),
+                 std::runtime_error); // 2^64 overflows
+    EXPECT_EQ(parseCount("--jobs", "64", 64), 64u);
+    EXPECT_EQ(parseCount("--txs", "18446744073709551615", any), any);
+}
+
 // ---- host wall-clock harness ---------------------------------------------
 
 TEST(SweepReport, HostTimeIsOptInAndKeepsDefaultReportsByteStable)
@@ -686,6 +709,130 @@ TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
     EXPECT_FALSE(smoke_report["cells"].at(0).has("coherence"));
     EXPECT_FALSE(
         smoke_report["cells"].at(0)["metrics"].has("coherence_messages"));
+}
+
+// ---- replay of the checked-in BENCH grids ----------------------------------
+
+Json
+loadCheckedIn(const std::string &figure)
+{
+    const std::string name = "BENCH_" + figure + ".json";
+    std::ifstream in(std::string(SSP_SOURCE_DIR) + "/" + name);
+    EXPECT_TRUE(in) << "checked-in " << name << " missing";
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return Json::parse(buf.str());
+}
+
+/** One filtered slice of a checked-in grid, at the grid's own txs. */
+struct ReplayRow
+{
+    const char *figure;
+    SweepGridOptions opts;
+    std::size_t cells; ///< expected slice size
+};
+
+std::vector<ReplayRow>
+replayRows()
+{
+    std::vector<ReplayRow> rows;
+    auto add = [&](const char *figure, std::size_t cells,
+                   auto &&filter) {
+        ReplayRow row{figure, {}, cells};
+        filter(row.opts);
+        rows.push_back(row);
+    };
+    add("smoke", 1, [](SweepGridOptions &) {});
+    add("scale", 3, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::BTreeZipf};
+        o.coreCounts = {4};
+    });
+    add("scale64", 3, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::HashZipf};
+        o.coreCounts = {16};
+    });
+    add("queue", 3, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::Sps};
+        o.coreCounts = {4};
+        o.loads = {0.6};
+    });
+    add("fig5", 2, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::Sps};
+        o.backends = {BackendKind::Ssp};
+    });
+    add("chan", 1, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::Sps};
+        o.backends = {BackendKind::Ssp};
+        o.channels = {2};
+    });
+    add("scale256", 2, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::Sps};
+        o.backends = {BackendKind::Ssp};
+        o.coreCounts = {16};
+    });
+    add("shard", 3, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::Sps};
+        o.backends = {BackendKind::Ssp};
+        o.machines = {2};
+    });
+    add("fault", 2, [](SweepGridOptions &o) {
+        o.workloads = {WorkloadKind::Sps};
+        o.backends = {BackendKind::Ssp};
+        o.machines = {2};
+        o.faultRates = {20};
+    });
+    return rows;
+}
+
+TEST(SweepReplay, EveryGridSliceMatchesItsCheckedInCells)
+{
+    // Each emitted cell object must equal the checked-in cell with the
+    // same label, coordinates and metrics alike.
+    for (const ReplayRow &row : replayRows()) {
+        SCOPED_TRACE(row.figure);
+        const auto cells = buildFigureGrid(row.figure, row.opts);
+        ASSERT_EQ(cells.size(), row.cells);
+        const Json report = sweepReport(row.figure, runSweep(cells, 2));
+        const Json checked_in = loadCheckedIn(row.figure);
+        const Json &want_cells = checked_in["cells"];
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const Json &got = report["cells"].at(i);
+            const std::string label = got["label"].asString();
+            std::size_t hits = 0;
+            for (std::size_t j = 0; j < want_cells.size(); ++j) {
+                if (want_cells.at(j)["label"].asString() != label)
+                    continue;
+                ++hits;
+                EXPECT_EQ(got.dump(2), want_cells.at(j).dump(2)) << label;
+            }
+            EXPECT_EQ(hits, 1u) << label;
+        }
+    }
+}
+
+TEST(SweepRunner, ScaleSweepIsJobsInvariant)
+{
+    // More workers produce the same per-cell results, per-core metrics
+    // included, in the same slot order.
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::Sps, WorkloadKind::HashRand};
+    opts.coreCounts = {2};
+    opts.txs = 300;
+    const auto cells = buildFigureGrid("scale", opts);
+    ASSERT_GE(cells.size(), 4u);
+
+    const auto serial = runSweep(cells, 1);
+    const auto parallel = runSweep(cells, 4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_TRUE(serial[i].ok && parallel[i].ok);
+        expectSameRun(serial[i].run, parallel[i].run);
+        EXPECT_EQ(serial[i].run.coreBusyCycles,
+                  parallel[i].run.coreBusyCycles);
+        EXPECT_EQ(serial[i].run.coreTxs, parallel[i].run.coreTxs);
+    }
+    EXPECT_EQ(sweepReport("scale", serial).dump(2),
+              sweepReport("scale", parallel).dump(2));
 }
 
 TEST(SweepRunner, Scale256CellsAreDeterministicAcrossJobs)
