@@ -11,23 +11,31 @@
  * transaction for a random and a zipfian workload.
  */
 
-#include "bench/bench_common.hh"
+#include <cstdio>
+
+#include "common/logging.hh"
+#include "sim/driver.hh"
+#include "sim/report.hh"
+#include "sim/system_builder.hh"
+#include "sweep/sweep_grid.hh"
 
 using namespace ssp;
-using namespace ssp::bench;
 
 int
 main()
 {
     setVerbose(false);
-    SspConfig base = paperConfig(1);
-    printHeader("Ablation A2: consolidation writes/tx vs TLB entries",
-                base);
+    SspConfig base = sweep::paperConfig(1);
+    std::printf("%s", sweep::paperTableHeader(
+                          "Ablation A2: consolidation writes/tx vs TLB "
+                          "entries",
+                          base)
+                          .c_str());
 
     TextTable table({"TLB entries", "RBTree-Rand", "RBTree-Zipf",
                      "Hash-Rand", "Hash-Zipf"});
     for (unsigned entries : {16u, 32u, 64u, 128u, 256u}) {
-        SspConfig cfg = paperConfig(1);
+        SspConfig cfg = sweep::paperConfig(1);
         cfg.tlbEntries = entries;
         cfg.shadowPoolPages =
             cfg.numCores * entries + cfg.sspCacheOverprovision + 512;
@@ -35,7 +43,9 @@ main()
         for (WorkloadKind w :
              {WorkloadKind::RbTreeRand, WorkloadKind::RbTreeZipf,
               WorkloadKind::HashRand, WorkloadKind::HashZipf}) {
-            RunResult res = runCell(BackendKind::Ssp, w, cfg);
+            auto exp = buildExperiment(BackendKind::Ssp, w, cfg,
+                                       sweep::paperScale());
+            RunResult res = runExperiment(exp, sweep::kDefaultTxs, 1);
             row.push_back(fmtDouble(
                 static_cast<double>(res.consolidationWrites) /
                     static_cast<double>(res.committedTxs),
@@ -44,8 +54,11 @@ main()
         table.addRow(std::move(row));
     }
     std::printf("%s\n", table.render().c_str());
-    printPaperNote("larger TLBs batch more commits per consolidation; "
-                   "zipfian workloads keep hot pages TLB-resident and "
-                   "consolidate far less than random ones at equal reach");
+    std::printf("%s", sweep::paperNote(
+                          "larger TLBs batch more commits per "
+                          "consolidation; zipfian workloads keep hot pages "
+                          "TLB-resident and consolidate far less than "
+                          "random ones at equal reach")
+                          .c_str());
     return 0;
 }

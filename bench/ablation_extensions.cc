@@ -11,20 +11,27 @@
  *     active again).
  */
 
-#include "bench/bench_common.hh"
+#include <cstdio>
+
+#include "common/logging.hh"
+#include "sim/driver.hh"
+#include "sim/report.hh"
+#include "sim/system_builder.hh"
+#include "sweep/sweep_grid.hh"
 #include "core/ssp_system.hh"
 
 using namespace ssp;
-using namespace ssp::bench;
 
 int
 main()
 {
     setVerbose(false);
-    SspConfig base = paperConfig(1);
-    printHeader("Ablation A3: SSP extensions (sub-page granularity, "
-                "lazy consolidation)",
-                base);
+    SspConfig base = sweep::paperConfig(1);
+    std::printf("%s", sweep::paperTableHeader(
+                          "Ablation A3: SSP extensions (sub-page "
+                          "granularity, lazy consolidation)",
+                          base)
+                          .c_str());
 
     std::printf("(a) tracking granularity\n");
     TextTable ga({"workload", "64B TPS(K)", "256B TPS(K)",
@@ -33,17 +40,17 @@ main()
     for (WorkloadKind w :
          {WorkloadKind::BTreeRand, WorkloadKind::RbTreeRand,
           WorkloadKind::Sps}) {
-        SspConfig fine = paperConfig(1);
-        SspConfig coarse = paperConfig(1);
+        SspConfig fine = sweep::paperConfig(1);
+        SspConfig coarse = sweep::paperConfig(1);
         coarse.subPageLines = 4;
 
         auto fine_exp = buildExperiment(BackendKind::Ssp, w, fine,
-                                        paperScale());
+                                        sweep::paperScale());
         auto *fine_sys =
             dynamic_cast<SspSystem *>(fine_exp.backend.get());
         const std::uint64_t fine_flips0 =
             fine_sys->machine().coherence().flipMessages();
-        RunResult fr = runExperiment(fine_exp, kMeasuredTxs, 1);
+        RunResult fr = runExperiment(fine_exp, sweep::kDefaultTxs, 1);
         const double fine_flips =
             static_cast<double>(
                 fine_sys->machine().coherence().flipMessages() -
@@ -51,12 +58,12 @@ main()
             static_cast<double>(fr.committedTxs);
 
         auto coarse_exp = buildExperiment(BackendKind::Ssp, w, coarse,
-                                          paperScale());
+                                          sweep::paperScale());
         auto *coarse_sys =
             dynamic_cast<SspSystem *>(coarse_exp.backend.get());
         const std::uint64_t coarse_flips0 =
             coarse_sys->machine().coherence().flipMessages();
-        RunResult cr = runExperiment(coarse_exp, kMeasuredTxs, 1);
+        RunResult cr = runExperiment(coarse_exp, sweep::kDefaultTxs, 1);
         const double coarse_flips =
             static_cast<double>(
                 coarse_sys->machine().coherence().flipMessages() -
@@ -77,19 +84,19 @@ main()
     for (WorkloadKind w :
          {WorkloadKind::RbTreeRand, WorkloadKind::RbTreeZipf,
           WorkloadKind::HashRand, WorkloadKind::HashZipf}) {
-        SspConfig eager = paperConfig(1);
-        SspConfig lazy = paperConfig(1);
+        SspConfig eager = sweep::paperConfig(1);
+        SspConfig lazy = sweep::paperConfig(1);
         lazy.consolidationPolicy = SspConfig::ConsolidationPolicy::Lazy;
         lazy.lazyLowWatermark = 64;
 
         auto eager_exp =
-            buildExperiment(BackendKind::Ssp, w, eager, paperScale());
-        RunResult er = runExperiment(eager_exp, kMeasuredTxs, 1);
+            buildExperiment(BackendKind::Ssp, w, eager, sweep::paperScale());
+        RunResult er = runExperiment(eager_exp, sweep::kDefaultTxs, 1);
 
         auto lazy_exp =
-            buildExperiment(BackendKind::Ssp, w, lazy, paperScale());
+            buildExperiment(BackendKind::Ssp, w, lazy, sweep::paperScale());
         auto *lazy_sys = dynamic_cast<SspSystem *>(lazy_exp.backend.get());
-        RunResult lr = runExperiment(lazy_exp, kMeasuredTxs, 1);
+        RunResult lr = runExperiment(lazy_exp, sweep::kDefaultTxs, 1);
         const double cancels =
             static_cast<double>(
                 lazy_sys->controller().canceledConsolidations()) /
@@ -106,9 +113,11 @@ main()
              fmtDouble(cancels, 2)});
     }
     std::printf("%s\n", gb.render().c_str());
-    printPaperNote("section 4.3 argues 256B sub-pages cut the TLB state "
-                   "4x; section 3.4 leaves lazy consolidation as future "
-                   "work — cancellation on re-activation is where it "
-                   "wins");
+    std::printf("%s", sweep::paperNote(
+                          "section 4.3 argues 256B sub-pages cut the TLB "
+                          "state 4x; section 3.4 leaves lazy consolidation "
+                          "as future work — cancellation on re-activation "
+                          "is where it wins")
+                          .c_str());
     return 0;
 }

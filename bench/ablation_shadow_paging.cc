@@ -9,24 +9,36 @@
  * claim directly with the SHADOW backend.
  */
 
-#include "bench/bench_common.hh"
+#include <cstdio>
+
+#include "common/logging.hh"
+#include "sim/driver.hh"
+#include "sim/report.hh"
+#include "sim/system_builder.hh"
+#include "sweep/sweep_grid.hh"
 
 using namespace ssp;
-using namespace ssp::bench;
 
 int
 main()
 {
     setVerbose(false);
-    SspConfig cfg = paperConfig(1);
-    printHeader("Ablation A1: conventional shadow paging (SHADOW) vs SSP",
-                cfg);
+    SspConfig cfg = sweep::paperConfig(1);
+    std::printf("%s", sweep::paperTableHeader(
+                          "Ablation A1: conventional shadow paging "
+                          "(SHADOW) vs SSP",
+                          cfg)
+                          .c_str());
 
     TextTable table({"workload", "SHADOW writes/tx", "SSP writes/tx",
                      "amplification", "SHADOW TPS/SSP TPS"});
     for (WorkloadKind w : microbenchmarks()) {
-        RunResult shadow = runCell(BackendKind::Shadow, w, cfg);
-        RunResult ssp = runCell(BackendKind::Ssp, w, cfg);
+        auto shadow_exp = buildExperiment(BackendKind::Shadow, w, cfg,
+                                          sweep::paperScale());
+        RunResult shadow = runExperiment(shadow_exp, sweep::kDefaultTxs, 1);
+        auto ssp_exp =
+            buildExperiment(BackendKind::Ssp, w, cfg, sweep::paperScale());
+        RunResult ssp = runExperiment(ssp_exp, sweep::kDefaultTxs, 1);
         table.addRow({workloadKindName(w),
                       fmtDouble(shadow.writesPerTx(), 1),
                       fmtDouble(ssp.writesPerTx(), 1),
@@ -36,10 +48,12 @@ main()
                       fmtDouble(shadow.tps() / ssp.tps())});
     }
     std::printf("%s\n", table.render().c_str());
-    printPaperNote("conventional shadow paging copies whole pages, "
-                   "writing up to 64x more cache lines than the 2-6 a "
-                   "transaction actually modifies — which is why the "
-                   "paper develops cache-line-granular shadow sub-paging "
-                   "instead");
+    std::printf("%s", sweep::paperNote(
+                          "conventional shadow paging copies whole pages, "
+                          "writing up to 64x more cache lines than the 2-6 "
+                          "a transaction actually modifies — which is why "
+                          "the paper develops cache-line-granular shadow "
+                          "sub-paging instead")
+                          .c_str());
     return 0;
 }

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
+#include "common/logging.hh"
 #include "sweep/sweep_runner.hh"
 
 using namespace ssp;
@@ -30,14 +30,17 @@ namespace
 [[noreturn]] void
 usage(int exit_code)
 {
+    std::string figures;
+    for (const std::string &name : knownFigures())
+        figures += " " + name;
     std::fprintf(
         stderr,
         "usage: sweep_main --figure <name> [options]\n"
         "\n"
-        "  --figure NAME      grid to run: fig5 fig6 fig7 fig8 fig9\n"
-        "                     table3 table45 chan scale scale64\n"
-        "                     scale256 queue shard fault smoke\n"
-        "                     (required)\n"
+        "  --figure NAME      grid to run (required):\n"
+        "                    %s\n"
+        "                     the paper's figures and tables print the\n"
+        "                     paper's table when every cell ran ok\n"
         "  --backends LIST    comma-separated subset of ssp,undo,redo,\n"
         "                     shadow (default: the figure's own set)\n"
         "  --workloads LIST   comma-separated subset of Table 3 names\n"
@@ -80,7 +83,8 @@ usage(int exit_code)
         "                     JSON; off by default so checked-in\n"
         "                     reports stay byte-stable\n"
         "  --quiet            suppress per-cell progress lines\n"
-        "  --list             print known figures and exit\n");
+        "  --list             print known figures and exit\n",
+        figures.c_str());
     std::exit(exit_code);
 }
 
@@ -164,7 +168,9 @@ parseArgs(int argc, char **argv)
                 arg, next_value(i),
                 std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--seed") {
-            args.grid.scale.seed = std::stoull(next_value(i));
+            args.grid.scale.seed = parseCount(
+                arg, next_value(i),
+                std::numeric_limits<std::uint64_t>::max(), 0);
         } else if (arg == "--json") {
             args.jsonPath = next_value(i);
         } else if (arg == "--time") {
@@ -186,51 +192,14 @@ parseArgs(int argc, char **argv)
         std::fprintf(stderr, "--figure is required\n");
         usage(2);
     }
-    if (!args.grid.channels.empty() && args.figure != "chan") {
-        // Only the chan grid sweeps channel counts; erroring beats
-        // silently emitting 1-channel results labeled as a channel run.
-        std::fprintf(stderr,
-                     "--channels only applies to '--figure chan', not "
-                     "'%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if (!args.grid.coreCounts.empty() && args.figure != "scale" &&
-        args.figure != "scale64" && args.figure != "scale256" &&
-        args.figure != "queue") {
-        std::fprintf(stderr,
-                     "--cores only applies to '--figure scale', "
-                     "'--figure scale64', '--figure scale256' or "
-                     "'--figure queue', not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if (!args.grid.machines.empty() && args.figure != "shard" &&
-        args.figure != "fault") {
-        std::fprintf(stderr,
-                     "--machines only applies to '--figure shard' or "
-                     "'--figure fault', not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if ((!args.grid.faultRates.empty() ||
-         !args.grid.replicateModes.empty()) &&
-        args.figure != "fault") {
-        // Only the fault grid arms the injector; erroring beats
-        // silently emitting fault-free results labeled as a fault run.
-        std::fprintf(stderr,
-                     "--fault-rate/--replicate only apply to '--figure "
-                     "fault', not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if ((!args.grid.loads.empty() || args.arrivalSet) &&
-        args.figure != "queue") {
-        std::fprintf(stderr,
-                     "--load/--arrival only apply to '--figure queue', "
-                     "not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
+    // buildFigureGrid rejects every axis option the figure does not
+    // sweep; only the CLI knows --arrival was given when its value is
+    // the default.
+    const FigureSpec *row = findFigure(args.figure);
+    if (args.arrivalSet && row != nullptr && row->loads.empty()) {
+        ssp_fatal("the arrival option only applies to grids that sweep "
+                  "loads, not '%s'",
+                  args.figure.c_str());
     }
     if (args.jsonPath.empty())
         args.jsonPath = "BENCH_" + args.figure + ".json";
@@ -273,22 +242,10 @@ try {
     const std::vector<CellResult> results =
         runSweep(cells, args.jobs, progress);
 
-    TextTable table({"cell", "tps", "nvram writes", "logging writes",
-                     "avg lines/tx"});
     unsigned failures = 0;
-    for (const CellResult &r : results) {
-        if (!r.ok) {
-            ++failures;
-            table.addRow({r.cell.label(), "FAILED: " + r.error, "-", "-",
-                          "-"});
-            continue;
-        }
-        table.addRow({r.cell.label(), fmtDouble(r.run.tps(), 0),
-                      std::to_string(r.run.nvramWrites),
-                      std::to_string(r.run.loggingWrites),
-                      fmtDouble(r.run.avgLinesPerTx, 1)});
-    }
-    std::printf("\n%s\n", table.render().c_str());
+    for (const CellResult &r : results)
+        failures += r.ok ? 0 : 1;
+    std::printf("\n%s", renderSweepTable(args.figure, results).c_str());
 
     const Json report = sweepReport(args.figure, results, args.time);
     std::ofstream out(args.jsonPath);

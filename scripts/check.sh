@@ -13,8 +13,10 @@
 #            the sweep/JSON pipeline steps are skipped.
 #   --regen  build, then regenerate all nine checked-in BENCH_*.json
 #            grids into <build-dir>/regen/ and cmp each against the
-#            checked-in file (mirrors the CI gcc-release regeneration
-#            gate); ctest and the other pipeline steps are skipped.
+#            checked-in file, and check the fig5 run printed both
+#            Figure 5 geomean rows (mirrors the CI gcc-release
+#            regeneration gate); ctest and the other pipeline steps are
+#            skipped.
 
 set -euo pipefail
 
@@ -67,10 +69,14 @@ if [ "$run_regen" = 1 ]; then
     for figure in smoke scale scale64 scale256 chan queue shard fault fig5; do
         echo "== regenerate BENCH_$figure.json =="
         "$build_dir/sweep_main" --figure "$figure" --jobs "$jobs" --quiet \
-            --json "$build_dir/regen/BENCH_$figure.json" >/dev/null
+            --json "$build_dir/regen/BENCH_$figure.json" \
+            >"$build_dir/regen/$figure.txt"
         cmp "$repo_root/BENCH_$figure.json" \
             "$build_dir/regen/BENCH_$figure.json"
     done
+    # The full fig5 grid prints the paper's Figure 5a/5b tables, each
+    # closed by its geomean row.
+    [ "$(grep -c '^geomean ' "$build_dir/regen/fig5.txt")" = 2 ]
     echo "OK (regen)"
     exit 0
 fi
@@ -91,10 +97,24 @@ echo "== smoke sweep =="
 "$build_dir/sweep_main" --figure smoke --jobs 2 \
     --json "$repo_root/BENCH_smoke.json"
 
-echo "== bad --txs exits 2 =="
+echo "== bad --txs / --seed exit 2 =="
 status=0
 "$build_dir/sweep_main" --figure smoke --txs -1 2>/dev/null || status=$?
 [ "$status" = 2 ]
+status=0
+"$build_dir/sweep_main" --figure smoke --seed -1 2>/dev/null || status=$?
+[ "$status" = 2 ]
+
+echo "== paper tables =="
+# The paper grids that are not checked in still run end to end: every
+# cell ok (exit 0) and the paper's table printed with its reference line.
+mkdir -p "$build_dir/paper"
+for figure in fig6 fig7 fig8 fig9 table3 table45; do
+    "$build_dir/sweep_main" --figure "$figure" --txs 200 --jobs "$jobs" \
+        --quiet --json "$build_dir/paper/BENCH_$figure.json" \
+        >"$build_dir/paper/$figure.txt"
+    grep -q '^paper reference: ' "$build_dir/paper/$figure.txt"
+done
 
 echo "== scale sweep (single-core cells) =="
 "$build_dir/sweep_main" --figure scale --cores 1 --jobs 2 --quiet \

@@ -215,16 +215,6 @@ CacheHierarchy::flushLine(CoreId core, Addr addr, WriteCategory cat,
     return bus_.issueWrite(line, cat, now, background);
 }
 
-Cycles
-CacheHierarchy::flushLines(CoreId core, const Addr *lines, std::size_t count,
-                           WriteCategory cat, Cycles now)
-{
-    Cycles done = now;
-    for (std::size_t i = 0; i < count; ++i)
-        done = std::max(done, flushLine(core, lines[i], cat, now));
-    return done;
-}
-
 void
 CacheHierarchy::invalidateLine(Addr addr)
 {

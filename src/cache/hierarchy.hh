@@ -79,16 +79,6 @@ class CacheHierarchy
     Cycles flushLine(CoreId core, Addr addr, WriteCategory cat, Cycles now,
                      bool background = false);
 
-    /**
-     * Batched clwb: flush every line in @p lines, in order, all issued
-     * at @p now, returning the latest completion.  Cycle-equivalent to
-     * looping flushLine() — the bus sees the same write-backs in the
-     * same arbitration order — but gives commit one call per write set
-     * and a single loop the branch predictor learns.
-     */
-    Cycles flushLines(CoreId core, const Addr *lines, std::size_t count,
-                      WriteCategory cat, Cycles now);
-
     /** Drop a line everywhere without write-back (SSP abort path). */
     void invalidateLine(Addr addr);
 

@@ -196,9 +196,7 @@ SspEngine::commit()
 
     // Step 1 — data persistence: clwb every write-set line.  All flushes
     // issue at 'now'; the stall is the slowest completion (bank-level
-    // parallelism).  Gather the locations first, then hand the whole
-    // write set to the hierarchy in one batched call: the bus sees the
-    // same write-backs in the same order as a per-line loop would issue.
+    // parallelism).  Every line is flushed before any TX bit clears.
     flushBatch_.clear();
     for (const auto &ws : writeSet_.entries()) {
         Translation tr{ws.slot, mc_.cache().entry(ws.slot).ppn0,
@@ -210,9 +208,11 @@ SspEngine::commit()
             flushBatch_.push_back(currentLineAddr(e, tr, li));
         }
     }
-    const Cycles flushed = machine_.caches().flushLines(
-        core_, flushBatch_.data(), flushBatch_.size(), WriteCategory::Data,
-        now);
+    Cycles flushed = now;
+    for (const Addr loc : flushBatch_) {
+        flushed = std::max(flushed, machine_.caches().flushLine(
+                                        core_, loc, WriteCategory::Data, now));
+    }
     for (const Addr loc : flushBatch_)
         machine_.caches().setTxBit(core_, loc, false);
 

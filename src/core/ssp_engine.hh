@@ -95,8 +95,8 @@ class SspEngine
     Machine &machine_;
     MemController &mc_;
     WriteSetBuffer writeSet_;
-    /** Commit-time scratch: write-set line addresses handed to the
-     *  hierarchy's batched flush.  Member so the allocation amortizes
+    /** Commit-time scratch: the write-set line addresses, flushed
+     *  before their TX bits clear.  Member so the allocation amortizes
      *  across transactions. */
     std::vector<Addr> flushBatch_;
     unsigned subPageLines_;

@@ -47,11 +47,17 @@ const char *conflictModeName(ConflictMode mode);
 /** Printable coherence-model name ("broadcast" / "directory"). */
 const char *coherenceModeName(CoherenceMode mode);
 
-/** The Table 2 machine used by all figure benches (see bench_common). */
+/** The Table 2 machine of the paper grids and the ablation benches. */
 SspConfig paperConfig(unsigned cores = 1);
 
-/** The workload scale used by all figure benches. */
+/** The workload scale the paper grids and the ablations run at. */
 WorkloadScale paperScale();
+
+/** A paper-table title banner plus the simulated machine line. */
+std::string paperTableHeader(const std::string &title, const SspConfig &cfg);
+
+/** The "paper reference: ..." line printed under a paper table. */
+std::string paperNote(const std::string &note);
 
 /** Transactions measured per cell unless the grid overrides it. */
 inline constexpr std::uint64_t kDefaultTxs = 4000;
@@ -122,7 +128,11 @@ struct SweepCell
     std::string label() const;
 };
 
-/** Knobs shared by all grid builders. */
+/**
+ * Knobs shared by all grid builders.  An axis list left empty means the
+ * figure's default list (FigureSpec); a non-empty one is accepted only
+ * by figures that sweep that axis.
+ */
 struct SweepGridOptions
 {
     /** Designs to include; empty means the figure's default set. */
@@ -133,31 +143,28 @@ struct SweepGridOptions
     std::uint64_t txs = 0;
     /** Base workload scale (per-cell seeds are derived from its seed). */
     WorkloadScale scale = paperScale();
-    /** chan grid: NVRAM channel counts to sweep; empty = {1, 2, 4, 8}.
-     *  Unlike the backend/workload filters this changes the grid shape,
-     *  so per-cell seeds follow the requested list. */
+    /** NVRAM channel counts to sweep.  Unlike the backend/workload
+     *  filters this changes the grid shape, so per-cell seeds follow the
+     *  requested list. */
     std::vector<unsigned> channels{};
-    /** scale/scale64/queue grids: core counts to sweep; empty = the
-     *  grid default.  Seeds are pinned per (workload, backend), so the
-     *  list's shape does not change any cell's stream. */
-    std::vector<unsigned> coreCounts{};
-    /** queue grid: offered-load factors to sweep; empty =
-     *  {0.3, 0.6, 0.9, 1.2}.  Seeds are pinned per (workload, backend),
+    /** Core counts to sweep.  Seeds are pinned per (workload, backend),
      *  so the list's shape does not change any cell's stream. */
+    std::vector<unsigned> coreCounts{};
+    /** Offered-load factors to sweep; seeds are pinned like coreCounts. */
     std::vector<double> loads{};
-    /** queue grid: arrival process applied to every cell. */
+    /** Arrival process of every open-loop cell; a non-default value is
+     *  accepted only by figures that sweep loads. */
     serve::ArrivalKind arrival = serve::ArrivalKind::Poisson;
-    /** shard/fault grids: cluster sizes to sweep; empty = the grid
-     *  default ({1, 2, 4, 8} for shard, {1, 2, 4} for fault).  Seeds
-     *  are pinned per (workload, backend) to the scale grid's plane, so
-     *  machine counts (and the 1-machine cells vs the checked-in scale
-     *  cells) replay the identical operation stream. */
+    /** Cluster sizes to sweep.  Seeds are pinned per (workload, backend)
+     *  to the scale grid's plane, so machine counts (and the 1-machine
+     *  cells vs the checked-in scale cells) replay the identical
+     *  operation stream. */
     std::vector<unsigned> machines{};
-    /** fault grid: fault rates (failures per Mcycle per machine) to
-     *  sweep; empty = {0, 5, 20}.  0 is a valid point — the harness is
-     *  armed but schedules nothing, pinning the zero-fault baseline. */
+    /** Fault rates (failures per Mcycle per machine) to sweep.  0 is a
+     *  valid point: the harness is armed but schedules nothing, pinning
+     *  the zero-fault baseline. */
     std::vector<double> faultRates{};
-    /** fault grid: replication modes to sweep; empty = {off, on}. */
+    /** Replication modes to sweep. */
     std::vector<bool> replicateModes{};
     /** NVRAM device preset applied to every cell of the grid. */
     NvramDevice nvramDevice = NvramDevice::PaperPcm;
@@ -165,17 +172,77 @@ struct SweepGridOptions
     ConflictMode conflictMode = ConflictMode::FirstCommitterWins;
 };
 
+struct CellResult; // sweep/sweep_runner.hh
+
+/**
+ * One row of the figure table: everything the code knows about one
+ * figure/table grid.  Option checks, cell labels, report coordinates
+ * and the sweep CLI's paper tables all read these rows; nothing else
+ * decides by figure name.
+ */
+struct FigureSpec
+{
+    const char *name = "";
+    /** Transactions per cell unless the caller sets txs. */
+    std::uint64_t defaultTxs = kDefaultTxs;
+    /** Machine preset, sized for at most maxCores cores. */
+    SspConfig (*machine)(unsigned cores) = nullptr;
+    unsigned maxCores = 64;
+    /** Runs on the small smoke machine: the key space and SPS array are
+     *  clamped to fit it (and to keep the streams of the smoke, scale,
+     *  shard and fault grids on one plane). */
+    bool smallMachine = false;
+
+    /** The default sets of designs and workloads the generator crosses,
+     *  and the core counts of a grid without a core axis. */
+    std::vector<WorkloadKind> workloads{};
+    std::vector<BackendKind> backends{};
+    std::vector<unsigned> fixedCores{1};
+
+    /** @{ Swept axes with their default lists.  An empty list means
+     *  the figure does not sweep the axis and rejects its option; loads
+     *  also gates the arrival option, fault rates and replication go
+     *  together, and the coherence axis has no option. */
+    std::vector<unsigned> channels{};
+    std::vector<unsigned> cores{};
+    std::vector<double> loads{};
+    std::vector<unsigned> machines{};
+    std::vector<double> faultRates{};
+    std::vector<bool> replicateModes{};
+    std::vector<CoherenceMode> coherenceModes{};
+    /** @} */
+
+    /** Report the per-core metrics block at every core count, 1
+     *  included (a constant schema along the core axis). */
+    bool perCoreMetricsAlways = false;
+
+    /** Emits the unfiltered grid; @p axes has every swept axis list
+     *  and txs resolved to the request or the row's default. */
+    void (*generate)(const FigureSpec &row, const SweepGridOptions &axes,
+                     std::vector<SweepCell> &out) = nullptr;
+
+    /** The paper's table for an all-ok grid; null when the figure has
+     *  none.  Throws when the grid was filtered down past a cell the
+     *  table needs (renderSweepTable then falls back). */
+    std::string (*paperTable)(const std::vector<CellResult> &results) =
+        nullptr;
+};
+
+/** The figure table, in presentation order. */
+const std::vector<FigureSpec> &figureTable();
+
+/** The row named @p figure, or null for an unknown name. */
+const FigureSpec *findFigure(const std::string &figure);
+
 /** Grid names understood by buildFigureGrid, in presentation order. */
 std::vector<std::string> knownFigures();
 
 /**
- * Build the cell grid reproducing @p figure ("fig5".."fig9", "table3",
- * "table45", the channel-scaling "chan" grid, the core-scaling "scale",
- * "scale64" and "scale256" grids, the open-loop tail-latency "queue"
- * grid, or the tiny CI "smoke" grid), then apply the option filters.
- * Fatal on unknown figure names (the message lists the known grids)
- * and on core counts beyond what the figure's machine preset supports
- * — failing up front beats a Machine assert deep inside a worker.
+ * Build the cell grid of @p figure, then apply the option filters.
+ * Fatal on unknown figure names (the message lists the known grids), on
+ * an axis option the figure does not sweep, and on core counts beyond
+ * what the figure's machine preset supports: failing up front beats a
+ * Machine assert deep inside a worker.
  */
 std::vector<SweepCell> buildFigureGrid(const std::string &figure,
                                        const SweepGridOptions &opts = {});
@@ -188,12 +255,13 @@ std::vector<std::string> splitCommas(const std::string &list);
 
 /**
  * Parse one count for @p flag: a plain decimal integer in
- * [1, @p max_value].  Empty values, signs, blanks, trailing junk and
- * out-of-range values are fatal.  parseCountList applies it to every
- * list item; --jobs and --txs use it directly.
+ * [@p min_value, @p max_value].  Empty values, signs, blanks, trailing
+ * junk and out-of-range values are fatal.  parseCountList applies it to
+ * every list item; --jobs, --txs and --seed (min 0) use it directly.
  */
 std::uint64_t parseCount(const std::string &flag, const std::string &value,
-                         std::uint64_t max_value);
+                         std::uint64_t max_value,
+                         std::uint64_t min_value = 1);
 
 /**
  * Parse a comma-separated count list for @p flag ("--cores",

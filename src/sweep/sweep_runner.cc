@@ -165,6 +165,16 @@ sweepReport(const std::string &figure,
 
     Json cells = Json::array();
     for (const CellResult &r : results) {
+        // The axes the cell's grid sweeps carry their coordinates (and
+        // metrics) on every cell, constant-schema; elsewhere they appear
+        // only where a cell deviates from the paper machine, so older
+        // reports stay byte-identical.
+        static const FigureSpec kNoGrid{};
+        const FigureSpec *found = findFigure(r.cell.figure);
+        const FigureSpec &row = found != nullptr ? *found : kNoGrid;
+        const bool coherence_axis =
+            !row.coherenceModes.empty() ||
+            r.cell.coherenceMode != CoherenceMode::Broadcast;
         Json c = Json::object();
         c.set("label", Json::str(r.cell.label()));
         c.set("backend", Json::str(backendKindName(r.cell.backend)));
@@ -175,10 +185,7 @@ sweepReport(const std::string &figure,
               Json::number(r.cell.nvramLatencyMultiplier));
         c.set("ssp_cache_fixed_latency",
               Json::number(r.cell.sspCacheFixedLatency));
-        // Channel/device coordinates are emitted only where they can
-        // deviate from the paper machine, so the pre-refactor reports
-        // (fig5..fig9, table*, smoke) stay byte-identical.
-        if (r.cell.figure == "chan" || r.cell.nvramChannels != 1)
+        if (!row.channels.empty() || r.cell.nvramChannels != 1)
             c.set("nvram_channels",
                   Json::number(std::uint64_t{r.cell.nvramChannels}));
         if (r.cell.nvramDevice != NvramDevice::PaperPcm)
@@ -195,32 +202,22 @@ sweepReport(const std::string &figure,
         if (r.cell.offeredLoad > 0)
             c.set("arrival",
                   Json::str(serve::arrivalKindName(r.cell.arrival)));
-        // The coherence coordinate exists on every scale256 cell (the
-        // grid's axis, constant-schema like its metrics) and on any
-        // future directory-mode cell; legacy broadcast reports carry
-        // no coordinate and stay byte-identical.
-        if (r.cell.figure == "scale256" ||
-            r.cell.coherenceMode != CoherenceMode::Broadcast) {
+        if (coherence_axis) {
             c.set("coherence",
                   Json::str(coherenceModeName(r.cell.coherenceMode)));
         }
-        // The machines coordinate exists on every shard cell (the
-        // grid's axis, constant-schema) and on any future multi-machine
-        // cell; the cross-shard fraction only where 2PC can happen, so
-        // the 1-machine cells' entries mirror the scale grid's shape.
-        if (r.cell.figure == "shard" || r.cell.figure == "fault" ||
-            r.cell.machines > 1)
+        if (!row.machines.empty() || r.cell.machines > 1)
             c.set("machines",
                   Json::number(std::uint64_t{r.cell.machines}));
+        // The cross-shard fraction only where 2PC can happen, so the
+        // 1-machine cells' entries mirror the scale grid's shape.
         if (r.cell.machines > 1)
             c.set("cross_shard_pct",
                   Json::number(static_cast<std::uint64_t>(std::lround(
                       r.cell.crossShardFraction * 100))));
-        // Fault coordinates exist on every fault-grid cell (the grid's
-        // axes, constant-schema) and on any future fault-armed cell;
-        // rates are emitted in integer tenths, like the label, so the
+        // Rates are emitted in integer tenths, like the label, so the
         // document never depends on float formatting.
-        if (r.cell.figure == "fault" || r.cell.faultRate > 0 ||
+        if (!row.faultRates.empty() || r.cell.faultRate > 0 ||
             r.cell.replicate) {
             c.set("fault_rate_tenths",
                   Json::number(static_cast<std::uint64_t>(
@@ -266,12 +263,10 @@ sweepReport(const std::string &figure,
         m.set("avg_pages_per_tx", Json::number(r.run.avgPagesPerTx));
         m.set("max_pages_per_tx", Json::number(r.run.maxPagesPerTx));
         // Multi-core-only metrics are gated on the core count so every
-        // single-core report stays byte-identical to the 1-core model.
-        // The scale64/scale256 grids opt in at every core count: their
-        // reports are new, and a constant schema across the core axis
-        // is what the scaling analysis scripts want.
-        if (r.cell.cores > 1 || r.cell.figure == "scale64" ||
-            r.cell.figure == "scale256") {
+        // single-core report stays byte-identical to the 1-core model,
+        // unless the grid asks for a constant schema along its core
+        // axis.
+        if (r.cell.cores > 1 || row.perCoreMetricsAlways) {
             Json busy = Json::array();
             for (std::uint64_t v : r.run.coreBusyCycles)
                 busy.push(Json::number(v));
@@ -286,13 +281,11 @@ sweepReport(const std::string &figure,
                   Json::number(r.run.coherenceInvalidations));
             m.set("coherence_shootdowns",
                   Json::number(r.run.coherenceShootdowns));
-            // Interconnect traffic: the message count exists under both
-            // models on scale256 cells (it is the broadcast-vs-directory
+            // Interconnect traffic: the message count exists wherever the
+            // coherence coordinate does (it is the broadcast-vs-directory
             // comparison axis); the directory-only counters exist iff
-            // the cell ran the directory model, and are absent from
-            // every broadcast or legacy report.
-            if (r.cell.figure == "scale256" ||
-                r.cell.coherenceMode != CoherenceMode::Broadcast) {
+            // the cell ran the directory model.
+            if (coherence_axis) {
                 m.set("coherence_messages",
                       Json::number(r.run.coherenceMessages));
             }

@@ -80,6 +80,15 @@ Json sweepReport(const std::string &figure,
                  const std::vector<CellResult> &results,
                  bool include_host_time = false);
 
+/**
+ * The text table sweep_main prints for finished results: the figure's
+ * paper table (FigureSpec::paperTable) when it has one, every cell ran
+ * ok and none it needs was filtered out; otherwise the generic per-cell
+ * table.
+ */
+std::string renderSweepTable(const std::string &figure,
+                             const std::vector<CellResult> &results);
+
 } // namespace ssp::sweep
 
 #endif // SSP_SWEEP_SWEEP_RUNNER_HH

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -388,6 +389,14 @@ TEST(SweepCli, CountRejectsInvalidValues)
                  std::runtime_error); // 2^64 overflows
     EXPECT_EQ(parseCount("--jobs", "64", 64), 64u);
     EXPECT_EQ(parseCount("--txs", "18446744073709551615", any), any);
+    // --seed takes the whole 64-bit range, 0 included, digits only.
+    for (const char *bad : {"-1", "4x", " 7", "7 ", "", "+7", "seven",
+                            "18446744073709551616"}) {
+        EXPECT_THROW(parseCount("--seed", bad, any, 0), std::runtime_error)
+            << "'" << bad << "'";
+    }
+    EXPECT_EQ(parseCount("--seed", "0", any, 0), 0u);
+    EXPECT_EQ(parseCount("--seed", "18446744073709551615", any, 0), any);
 }
 
 // ---- host wall-clock harness ---------------------------------------------
@@ -529,15 +538,49 @@ TEST(SweepGrid, QueueSeedsArePinnedAcrossLoadsAndCores)
     }
 }
 
-TEST(SweepGrid, QueueOnlyOptionsAreRejectedElsewhere)
+TEST(SweepGrid, AxisOptionsAreAcceptedOnlyByTheGridsThatSweepThem)
 {
-    SweepGridOptions opts;
-    opts.loads = {0.5};
-    EXPECT_THROW(buildFigureGrid("fig5", opts), std::runtime_error);
-    EXPECT_THROW(buildFigureGrid("scale", opts), std::runtime_error);
-    opts.loads.clear();
-    opts.coreCounts = {4};
-    EXPECT_NO_THROW(buildFigureGrid("queue", opts));
+    // One column per axis option, in this order: channels, coreCounts,
+    // loads, arrival, machines, faultRates, replicateModes.  'y' = the
+    // grid accepts the option; '-' = buildFigureGrid rejects it (and
+    // sweep_main exits 2).
+    const std::vector<std::pair<std::string, std::string>> matrix = {
+        {"fig5", "-------"},     {"fig6", "-------"},
+        {"fig7", "-------"},     {"fig8", "-------"},
+        {"fig9", "-------"},     {"table3", "-------"},
+        {"table45", "-------"},  {"chan", "y------"},
+        {"scale", "-y-----"},    {"scale64", "-y-----"},
+        {"scale256", "-y-----"}, {"queue", "-yyy---"},
+        {"shard", "----y--"},    {"fault", "----yyy"},
+        {"smoke", "-------"},
+    };
+    const std::vector<std::function<void(SweepGridOptions &)>> options = {
+        [](SweepGridOptions &o) { o.channels = {2}; },
+        [](SweepGridOptions &o) { o.coreCounts = {4}; },
+        [](SweepGridOptions &o) { o.loads = {0.5}; },
+        [](SweepGridOptions &o) { o.arrival = serve::ArrivalKind::Bursty; },
+        [](SweepGridOptions &o) { o.machines = {2}; },
+        [](SweepGridOptions &o) { o.faultRates = {5}; },
+        [](SweepGridOptions &o) { o.replicateModes = {true}; },
+    };
+    std::vector<std::string> figures;
+    for (const auto &[figure, accepts] : matrix) {
+        figures.push_back(figure);
+        ASSERT_EQ(accepts.size(), options.size()) << figure;
+        for (std::size_t k = 0; k < options.size(); ++k) {
+            SweepGridOptions opts;
+            options[k](opts);
+            if (accepts[k] == 'y') {
+                EXPECT_FALSE(buildFigureGrid(figure, opts).empty())
+                    << figure << " option " << k;
+            } else {
+                EXPECT_THROW(buildFigureGrid(figure, opts),
+                             std::runtime_error)
+                    << figure << " option " << k;
+            }
+        }
+    }
+    EXPECT_EQ(figures, knownFigures());
 }
 
 TEST(SweepCli, LoadListParsesValidInputAndRejectsGarbage)
@@ -709,6 +752,245 @@ TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
     EXPECT_FALSE(smoke_report["cells"].at(0).has("coherence"));
     EXPECT_FALSE(
         smoke_report["cells"].at(0)["metrics"].has("coherence_messages"));
+}
+
+// ---- paper tables ----------------------------------------------------------
+
+/** Every cell of @p figure's default grid, ok, with @p fill's metrics
+ *  over 1e9 cycles (so tps is proportional to committed_txs). */
+std::vector<CellResult>
+syntheticResults(const std::string &figure,
+                 const std::function<void(const SweepCell &, RunResult &)>
+                     &fill)
+{
+    std::vector<CellResult> results;
+    for (const SweepCell &cell : buildFigureGrid(figure)) {
+        CellResult r;
+        r.cell = cell;
+        r.ok = true;
+        r.run.cycles = 1'000'000'000;
+        fill(cell, r.run);
+        results.push_back(std::move(r));
+    }
+    return results;
+}
+
+/** Position of @p w in the microbenchmark list. */
+std::uint64_t
+microIndex(WorkloadKind w)
+{
+    const auto kinds = microbenchmarks();
+    return static_cast<std::uint64_t>(
+        std::find(kinds.begin(), kinds.end(), w) - kinds.begin());
+}
+
+/** The whitespace-split columns of the first table row starting with
+ *  @p key at or after offset @p from of @p text. */
+std::vector<std::string>
+rowOf(const std::string &text, const std::string &key,
+      std::size_t from = 0)
+{
+    std::size_t at = text.find("\n" + key + " ", from);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos)
+        return {};
+    std::istringstream line(
+        text.substr(at + 1, text.find('\n', at + 1) - at - 1));
+    std::vector<std::string> cols;
+    for (std::string col; line >> col;)
+        cols.push_back(col);
+    return cols;
+}
+
+TEST(PaperTables, Fig5GeomeanRowsFoldEachThreadCount)
+{
+    // 1 core: SSP/UNDO = 1, 2, 4, 8, 1, 2, 4 across the seven
+    // workloads (geomean 2^(9/7) = 2.44), SSP == REDO; 4 cores: SSP is
+    // 3x UNDO-LOG and 1.5x REDO-LOG everywhere.
+    const std::uint64_t ratio[] = {1, 2, 4, 8, 1, 2, 4};
+    const auto results = syntheticResults(
+        "fig5", [&](const SweepCell &cell, RunResult &run) {
+            const bool four = cell.cores == 4;
+            const std::uint64_t ssp =
+                four ? 300 : 100 * ratio[microIndex(cell.workload)];
+            run.committedTxs = cell.backend == BackendKind::UndoLog ? 100
+                               : cell.backend == BackendKind::RedoLog
+                                   ? (four ? 200 : ssp)
+                                   : ssp;
+        });
+    const std::string text = renderSweepTable("fig5", results);
+    EXPECT_EQ(rowOf(text, "geomean"),
+              (std::vector<std::string>{"geomean", "1.00", "-", "-", "2.44",
+                                        "1.00"}));
+    EXPECT_EQ(rowOf(text, "BTree-Zipf"),
+              (std::vector<std::string>{"BTree-Zipf", "1.00", "1.00",
+                                        "1.00", "1.00", "1.00"}));
+    const std::size_t part_b = text.find("Figure 5b");
+    ASSERT_NE(part_b, std::string::npos);
+    EXPECT_EQ(rowOf(text, "geomean", part_b),
+              (std::vector<std::string>{"geomean", "1.00", "-", "-", "3.00",
+                                        "1.50"}));
+    EXPECT_NE(text.find("paper reference: Fig 5b"), std::string::npos);
+}
+
+TEST(PaperTables, Fig6PrintsInfForLogFreeSspAndAveragesTheRest)
+{
+    // UNDO 100 / REDO 50 / SSP 10 logging writes, except SSP logs
+    // nothing on BTree-Rand and 20 on RBTree-Rand.
+    const auto results = syntheticResults(
+        "fig6", [](const SweepCell &cell, RunResult &run) {
+            std::uint64_t ssp = 10;
+            if (cell.workload == WorkloadKind::BTreeRand)
+                ssp = 0;
+            if (cell.workload == WorkloadKind::RbTreeRand)
+                ssp = 20;
+            run.loggingWrites = cell.backend == BackendKind::UndoLog ? 100
+                                : cell.backend == BackendKind::RedoLog ? 50
+                                                                       : ssp;
+        });
+    const std::string text = renderSweepTable("fig6", results);
+    EXPECT_EQ(rowOf(text, "BTree-Rand"),
+              (std::vector<std::string>{"BTree-Rand", "1.00", "0.50", "0.00",
+                                        "inf", "inf"}));
+    EXPECT_EQ(rowOf(text, "SPS"), (std::vector<std::string>{
+                                      "SPS", "1.00", "0.50", "0.10", "10.0",
+                                      "5.0"}));
+    // The average skips the inf row: (5 x 10 + 5) / 6 and
+    // (5 x 5 + 2.5) / 6.
+    EXPECT_EQ(rowOf(text, "average"),
+              (std::vector<std::string>{"average", "-", "-", "-", "9.2",
+                                        "4.6"}));
+}
+
+TEST(PaperTables, Fig7BreaksSspWritesDownInPercent)
+{
+    const auto results = syntheticResults(
+        "fig7", [](const SweepCell &cell, RunResult &run) {
+            switch (cell.backend) {
+              case BackendKind::UndoLog:
+                run.nvramWrites = 400;
+                break;
+              case BackendKind::RedoLog:
+                run.nvramWrites = 250;
+                break;
+              default:
+                run.nvramWrites = 200;
+                run.dataWrites = 100;
+                run.journalWrites = 50;
+                run.consolidationWrites = 40;
+                run.checkpointWrites = 10;
+            }
+        });
+    const std::string text = renderSweepTable("fig7", results);
+    EXPECT_EQ(rowOf(text, "average"),
+              (std::vector<std::string>{"average", "-", "-", "-", "50%",
+                                        "20%"}));
+    const std::size_t part_b = text.find("Figure 7b");
+    ASSERT_NE(part_b, std::string::npos);
+    EXPECT_EQ(rowOf(text, "Hash-Zipf", part_b),
+              (std::vector<std::string>{"Hash-Zipf", "50.0", "25.0", "20.0",
+                                        "5.0"}));
+}
+
+TEST(PaperTables, Fig9DividesByTheWorkloadsOwnRedoBaseline)
+{
+    // Each workload's REDO-LOG baseline differs; SSP scales with it, so
+    // the speedup at latency L is L / 100 in every column.
+    const auto results = syntheticResults(
+        "fig9", [](const SweepCell &cell, RunResult &run) {
+            const std::uint64_t scale = microIndex(cell.workload) + 1;
+            run.committedTxs = cell.backend == BackendKind::RedoLog
+                                   ? 100 * scale
+                                   : cell.sspCacheFixedLatency * scale;
+        });
+    const std::string text = renderSweepTable("fig9", results);
+    EXPECT_EQ(rowOf(text, "20"), (std::vector<std::string>{
+                                     "20", "0.20", "0.20", "0.20", "0.20",
+                                     "0.20", "0.20", "0.20"}));
+    EXPECT_EQ(rowOf(text, "180"), (std::vector<std::string>{
+                                      "180", "1.80", "1.80", "1.80", "1.80",
+                                      "1.80", "1.80", "1.80"}));
+}
+
+TEST(PaperTables, Table3FlagsAWriteSetPastTheBuffer)
+{
+    auto fill = [](std::uint64_t vacation_max_pages) {
+        return [=](const SweepCell &cell, RunResult &run) {
+            run.avgLinesPerTx = 3;
+            run.avgPagesPerTx = 2;
+            run.maxPagesPerTx = cell.workload == WorkloadKind::Vacation
+                                    ? vacation_max_pages
+                                    : 4;
+        };
+    };
+    const std::string fits =
+        renderSweepTable("table3", syntheticResults("table3", fill(64)));
+    EXPECT_NE(fits.find("sufficient for all workloads: yes"),
+              std::string::npos);
+    EXPECT_EQ(rowOf(fits, "Memcached"),
+              (std::vector<std::string>{"Memcached", "3.0", "2.0", "4",
+                                        "3/2/35"}));
+    const std::string overflows =
+        renderSweepTable("table3", syntheticResults("table3", fill(65)));
+    EXPECT_NE(overflows.find("sufficient for all workloads: NO"),
+              std::string::npos);
+    EXPECT_NE(overflows.find("paper reference: none of the evaluated"),
+              std::string::npos);
+}
+
+TEST(PaperTables, Table45ReportsSpeedupAndWriteSavingPercentages)
+{
+    const auto results = syntheticResults(
+        "table45", [](const SweepCell &cell, RunResult &run) {
+            switch (cell.backend) {
+              case BackendKind::UndoLog:
+                run.committedTxs = 100;
+                run.nvramWrites = 1000;
+                break;
+              case BackendKind::RedoLog:
+                run.committedTxs = 150;
+                run.nvramWrites = 500;
+                break;
+              default:
+                run.committedTxs = 300;
+                run.nvramWrites = 250;
+            }
+        });
+    const std::string text = renderSweepTable("table45", results);
+    EXPECT_EQ(rowOf(text, "Memcached"),
+              (std::vector<std::string>{"Memcached", "200%", "100%", "75%",
+                                        "/", "35%"}));
+    const std::size_t table5 = text.find("Table 5:");
+    ASSERT_NE(table5, std::string::npos);
+    EXPECT_EQ(rowOf(text, "Vacation", table5),
+              (std::vector<std::string>{"Vacation", "75%", "50%", "38%", "/",
+                                        "17%"}));
+}
+
+TEST(PaperTables, FailedOrFilteredGridsFallBackToTheGenericTable)
+{
+    auto fill = [](const SweepCell &, RunResult &run) {
+        run.committedTxs = 100;
+    };
+    auto results = syntheticResults("fig5", fill);
+    EXPECT_NE(renderSweepTable("fig5", results).find("geomean"),
+              std::string::npos);
+
+    results[3].ok = false;
+    results[3].error = "boom";
+    const std::string failed = renderSweepTable("fig5", results);
+    EXPECT_EQ(failed.find("geomean"), std::string::npos);
+    EXPECT_NE(failed.find("FAILED: boom"), std::string::npos);
+    EXPECT_NE(failed.find(results[0].cell.label()), std::string::npos);
+
+    // A backend filter drops cells the paper table needs.
+    results = syntheticResults("fig5", fill);
+    std::erase_if(results, [](const CellResult &r) {
+        return r.cell.backend != BackendKind::Ssp;
+    });
+    const std::string filtered = renderSweepTable("fig5", results);
+    EXPECT_EQ(filtered.find("geomean"), std::string::npos);
+    EXPECT_NE(filtered.find(results[0].cell.label()), std::string::npos);
 }
 
 // ---- replay of the checked-in BENCH grids ----------------------------------
