@@ -1,32 +1,7 @@
 #include "common/stats.hh"
 
-#include <sstream>
-
 namespace ssp
 {
-
-std::uint64_t
-StatGroup::get(const std::string &key) const
-{
-    auto it = counters_.find(key);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : counters_)
-        kv.second = 0;
-}
-
-std::string
-StatGroup::dump() const
-{
-    std::ostringstream os;
-    for (const auto &kv : counters_)
-        os << name_ << '.' << kv.first << " = " << kv.second << '\n';
-    return os.str();
-}
 
 void
 StatSummary::sample(std::uint64_t v)

@@ -1,9 +1,8 @@
 /**
  * @file
- * Lightweight statistics counters.
+ * Lightweight statistics summaries.
  *
- * Every subsystem owns a StatGroup; the benches and tests read counters by
- * name.  Counters are plain uint64 — the simulator is single-threaded (it
+ * Counters are plain uint64 — the simulator is single-threaded (it
  * *models* multiple cores), so no atomics are needed.
  */
 
@@ -11,53 +10,9 @@
 #define SSP_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace ssp
 {
-
-/** A named bag of counters with hierarchical dotted names. */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Add @p delta to counter @p key (creating it at zero). */
-    void
-    add(const std::string &key, std::uint64_t delta = 1)
-    {
-        counters_[key] += delta;
-    }
-
-    /** Set counter @p key to @p value. */
-    void
-    set(const std::string &key, std::uint64_t value)
-    {
-        counters_[key] = value;
-    }
-
-    /** Read counter @p key; absent counters read as zero. */
-    std::uint64_t get(const std::string &key) const;
-
-    /** Reset every counter to zero (keeps the keys). */
-    void reset();
-
-    const std::string &name() const { return name_; }
-
-    const std::map<std::string, std::uint64_t> &counters() const
-    {
-        return counters_;
-    }
-
-    /** Multi-line "name.key = value" dump. */
-    std::string dump() const;
-
-  private:
-    std::string name_;
-    std::map<std::string, std::uint64_t> counters_;
-};
 
 /**
  * Running scalar summary (count/sum/min/max) for quantities like

@@ -2,11 +2,11 @@
  * @file
  * The cell fault harness: wires one FaultPlan into a running cluster.
  *
- * FaultInjector implements both fault-injection surfaces — the cluster
- * driver's slot hooks (ClusterFaultDriver) and the coordinator's logged
- * 2PC hooks (TxFaultHooks) — from one deterministic plan, so every
- * injected failure, every recovery charge and every replication message
- * is a pure function of the cell seed.  PowerFail events fire at slot
+ * FaultInjector implements the fault-injection surface
+ * (ClusterFaultDriver: the slot loop's hooks plus the coordinator's
+ * logged 2PC hooks) from one deterministic plan, so every injected
+ * failure, every recovery charge and every replication message is a
+ * pure function of the cell seed.  PowerFail events fire at slot
  * boundaries; the two window kinds arm per-machine flags that the next
  * cross-shard transaction touching the machine consumes, which anchors
  * mid-protocol crashes to the transaction order rather than to wall
@@ -54,8 +54,7 @@ struct FaultStats
 };
 
 /** One cell's fault harness (see file comment). */
-class FaultInjector : public shard::TxFaultHooks,
-                      public shard::ClusterFaultDriver
+class FaultInjector : public shard::ClusterFaultDriver
 {
   public:
     /**
@@ -79,12 +78,9 @@ class FaultInjector : public shard::TxFaultHooks,
     bool participantCrashArmed(unsigned peer) override;
     void failParticipant(unsigned peer, CoreId core) override;
     Cycles voteTimeout() override;
-
-    // Both interfaces (one override satisfies both bases)
     Cycles shipCommit(unsigned machine, CoreId core) override;
 
-    // ClusterFaultDriver
-    shard::TxFaultHooks *txHooks() override { return this; }
+    // Slot loop
     void atSlotStart() override;
     void atRunEnd() override;
 

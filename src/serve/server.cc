@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -11,12 +10,49 @@
 namespace ssp::serve
 {
 
+namespace
+{
+
+/** Fewest closed-loop transactions a capacity calibration runs. */
+constexpr std::uint64_t kMinCalibrationTxs = 200;
+
+/** Per-core FIFOs of the arrival cycles of waiting requests. */
+using Queues = std::vector<std::deque<Cycles>>;
+
+/** The next request serve dispatches. */
+struct Dispatch
+{
+    bool ready = false; ///< some core has a waiting request
+    unsigned core = 0;
+    Cycles start = 0; ///< max(core clock, the request's arrival)
+};
+
+/**
+ * serve's dispatch rule: among cores with a waiting request, the one
+ * whose request can start earliest, ties to the lowest core id.
+ */
+Dispatch
+nextDispatch(const Machine &machine, const Queues &queues)
+{
+    Dispatch next;
+    const auto num_cores = static_cast<unsigned>(queues.size());
+    for (unsigned c = 0; c < num_cores; ++c) {
+        if (queues[c].empty())
+            continue;
+        const Cycles start = std::max(machine.clock(c), queues[c].front());
+        if (!next.ready || start < next.start)
+            next = {true, c, start};
+    }
+    return next;
+}
+
+} // namespace
+
 RunResult
 runServeExperiment(Experiment &exp, std::uint64_t num_requests,
                    unsigned num_cores, const ServeParams &params)
 {
-    AtomicityBackend &be = *exp.backend;
-    Machine &machine = be.machine();
+    Machine &machine = exp.backend->machine();
     ssp_assert(num_requests > 0, "serve run needs at least one request");
     ssp_assert(num_cores >= 1 && num_cores <= machine.cfg().numCores,
                "serve run uses more cores than the machine has");
@@ -25,13 +61,18 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
 
     // Calibrate: measure closed-loop capacity (cycles per transaction at
     // this core count) so the offered load can be expressed as a factor
-    // of what the cell can actually sustain.  The calibration phase also
-    // warms caches/TLBs, like the setup phase does for closed-loop runs.
-    std::uint64_t calib_txs = params.calibrationTxs;
-    if (calib_txs == 0)
-        calib_txs = std::max<std::uint64_t>(200, num_requests / 5);
-    const RunResult calib =
-        runExperiment(exp, calib_txs, num_cores, ScheduleMode::EventDriven);
+    // of what the cell can actually sustain.  Every core always has a
+    // request waiting, so the dispatch picks the lowest clock.  The
+    // calibration phase also warms caches/TLBs, like the setup phase
+    // does for closed-loop runs.
+    machine.syncClocks();
+    const RunResult calib_start = readCounters(exp);
+    const Queues backlog(num_cores, std::deque<Cycles>{0});
+    const std::uint64_t calib_txs =
+        std::max(kMinCalibrationTxs, num_requests / 5);
+    for (std::uint64_t i = 0; i < calib_txs; ++i)
+        exp.workload->runOp(nextDispatch(machine, backlog).core);
+    const RunResult calib = counterDelta(readCounters(exp), calib_start);
     ssp_assert(calib.committedTxs > 0 && calib.cycles > 0,
                "calibration phase measured no throughput");
     const double mean_interval =
@@ -40,16 +81,13 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
 
     // Measured phase starts from a barrier, like every closed-loop run.
     machine.syncClocks();
-    const RunBaseline base = captureRunBaseline(exp);
-    const Cycles serve_start = machine.maxClock();
+    const RunResult base = readCounters(exp);
+    const Cycles serve_start = base.cycles;
 
-    RunResult res;
-    res.coreBusyCycles.assign(num_cores, 0);
-    res.coreTxs.assign(num_cores, 0);
-
+    std::vector<std::uint64_t> busy(num_cores, 0);
+    std::vector<std::uint64_t> served(num_cores, 0);
     ArrivalProcess arrivals(params.arrival, mean_interval, params.seed);
-    // Per-core FIFO of the arrival cycles of waiting requests.
-    std::vector<std::deque<Cycles>> queues(num_cores);
+    Queues queues(num_cores);
     std::vector<LatencyHistogram> hists(num_cores);
 
     std::uint64_t delivered = 0; ///< arrivals handed to a queue (or shed)
@@ -70,72 +108,10 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
         last_event = now;
     };
 
-    auto run_one = [&](CoreId core) {
-        const Cycles op_start = machine.clock(core);
-        exp.workload->runOp(core);
-        res.coreBusyCycles[core] += machine.clock(core) - op_start;
-        ++res.coreTxs[core];
-    };
-
-    // Injected fault epochs: each scheduled fault crashes + recovers
-    // the backend the moment simulated time would cross its offset, and
-    // completions inside the window around it are binned separately.
-    for (std::size_t i = 1; i < params.faultAt.size(); ++i) {
-        ssp_assert(params.faultAt[i - 1] < params.faultAt[i],
-                   "serve fault offsets must be ascending");
-    }
-    std::size_t next_fault = 0;
-    std::vector<std::pair<Cycles, Cycles>> epochs;
-    LatencyHistogram epoch_hist;
-
     while (delivered < num_requests || waiting > 0) {
-        // The earliest possible dispatch: among cores with waiting
-        // requests, the lowest start cycle (ties to the lowest core id).
-        bool have_dispatch = false;
-        unsigned best_core = 0;
-        Cycles best_start = 0;
-        for (unsigned c = 0; c < num_cores; ++c) {
-            if (queues[c].empty())
-                continue;
-            const Cycles start =
-                std::max(machine.clock(c), queues[c].front());
-            if (!have_dispatch || start < best_start) {
-                have_dispatch = true;
-                best_core = c;
-                best_start = start;
-            }
-        }
-
-        if (next_fault < params.faultAt.size()) {
-            const Cycles t_fault =
-                serve_start + params.faultAt[next_fault];
-            const bool arrival_next =
-                delivered < num_requests &&
-                (!have_dispatch || next_arrival <= best_start);
-            const Cycles t_next =
-                arrival_next ? next_arrival : best_start;
-            if (t_fault <= t_next) {
-                // Power failure mid-serving: volatile state is lost,
-                // recovery replays the durable image, and every core
-                // stalls for the outage.  Queued requests are host-side
-                // client state and survive to be served late.
-                advance_to(t_fault);
-                be.crash();
-                be.recover();
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    machine.clock(c) =
-                        std::max(machine.clock(c), t_fault) +
-                        params.faultStallCycles;
-                }
-                epochs.emplace_back(
-                    t_fault, t_fault + 2 * params.faultStallCycles);
-                ++next_fault;
-                continue;
-            }
-        }
-
+        const Dispatch next = nextDispatch(machine, queues);
         if (delivered < num_requests &&
-            (!have_dispatch || next_arrival <= best_start)) {
+            (!next.ready || next_arrival <= next.start)) {
             // Deliver the next arrival to its queue (round-robin across
             // cores), shedding it if the queue is at its bound.
             advance_to(next_arrival);
@@ -155,24 +131,23 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
 
         // Dispatch: the request leaves the queue at its start cycle; an
         // idle core fast-forwards to the arrival it was waiting for.
-        advance_to(best_start);
-        const Cycles arrived = queues[best_core].front();
-        queues[best_core].pop_front();
+        advance_to(next.start);
+        const CoreId core = next.core;
+        const Cycles arrived = queues[core].front();
+        queues[core].pop_front();
         --waiting;
-        machine.clock(best_core) =
-            std::max(machine.clock(best_core), arrived);
-        run_one(best_core);
-        const Cycles done = machine.clock(best_core);
-        hists[best_core].record(done - arrived);
-        for (const auto &[from, to] : epochs) {
-            if (done >= from && done <= to) {
-                epoch_hist.record(done - arrived);
-                break;
-            }
-        }
+        machine.clock(core) = std::max(machine.clock(core), arrived);
+        const Cycles op_start = machine.clock(core);
+        exp.workload->runOp(core);
+        const Cycles done = machine.clock(core);
+        busy[core] += done - op_start;
+        ++served[core];
+        hists[core].record(done - arrived);
     }
 
-    finishRunMetrics(res, exp, base);
+    RunResult res = counterDelta(readCounters(exp), base);
+    res.coreBusyCycles = std::move(busy);
+    res.coreTxs = std::move(served);
 
     LatencyHistogram merged;
     for (const LatencyHistogram &h : hists)
@@ -184,10 +159,6 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     res.p999Cycles = merged.percentile(0.999);
     res.rejectedTxs = rejected;
     res.offeredLoad = params.offeredLoad;
-    res.faultEpochs = static_cast<std::uint64_t>(epochs.size());
-    res.faultEpochTxs = epoch_hist.count();
-    res.p99FaultEpochCycles =
-        epoch_hist.count() > 0 ? epoch_hist.percentile(0.99) : 0;
     const Cycles elapsed = machine.maxClock() - serve_start;
     res.meanQueueDepth =
         elapsed == 0 ? 0 : depth_area / static_cast<double>(elapsed);

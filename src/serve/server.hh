@@ -15,8 +15,9 @@
  *
  * Offered load is specified as a factor of the machine's *measured*
  * closed-loop capacity: a short closed-loop calibration phase runs
- * first (event-driven, same core count), and the arrival rate is set to
- * load x calibrated throughput.  Load 1.2 therefore always means "20%
+ * first (the same dispatch, every core always holding a waiting
+ * request, same core count), and the arrival rate is set to load x
+ * calibrated throughput.  Load 1.2 therefore always means "20%
  * past what this backend/workload/core-count can sustain", regardless
  * of how fast the cell happens to be.
  *
@@ -27,8 +28,6 @@
 
 #ifndef SSP_SERVE_SERVER_HH
 #define SSP_SERVE_SERVER_HH
-
-#include <vector>
 
 #include "serve/arrival.hh"
 #include "sim/driver.hh"
@@ -44,31 +43,16 @@ struct ServeParams
     double offeredLoad = 0.6;
     /** Per-core queue bound; arrivals beyond it are shed. */
     unsigned queueDepth = 64;
-    /** Closed-loop transactions used to measure capacity; 0 derives
-     *  max(200, num_requests / 5). */
-    std::uint64_t calibrationTxs = 0;
     /** Seed of the arrival process RNG stream (independent of the
      *  workload's key stream). */
     std::uint64_t seed = 1;
-    /**
-     * Fault epochs: offsets (cycles after the measured phase starts,
-     * ascending) at which the machine power-fails mid-serving.  Each
-     * fault crashes + recovers the backend and stalls every core for
-     * faultStallCycles; completions inside the window
-     * [fault, fault + 2 * faultStallCycles] are binned separately, so
-     * the tail latency is reported conditioned on the fault
-     * (RunResult::p99FaultEpochCycles).  Empty = no faults, the
-     * byte-identical default.
-     */
-    std::vector<Cycles> faultAt{};
-    /** Downtime charged per injected serve fault. */
-    Cycles faultStallCycles = 300000;
 };
 
 /**
- * Serve @p num_requests open-loop requests on @p num_cores cores.
- * Requests are balanced round-robin across the per-core queues at
- * arrival time.  The returned metrics are deltas over the
+ * Serve @p num_requests open-loop requests on @p num_cores cores, after
+ * a calibration phase of max(200, @p num_requests / 5) closed-loop
+ * transactions.  Requests are balanced round-robin across the per-core
+ * queues at arrival time.  The returned metrics are deltas over the
  * post-calibration state; committedTxs counts acknowledged requests and
  * rejectedTxs the shed ones (they sum to the generated arrivals).
  */

@@ -17,6 +17,7 @@
 #define SSP_SHARD_CLUSTER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "shard/network.hh"
@@ -45,6 +46,7 @@ class Cluster
     }
 
     Experiment &shard(unsigned m) { return shards_[m]; }
+    std::span<Experiment> shards() { return shards_; }
     const Experiment &shard(unsigned m) const { return shards_[m]; }
 
     Machine &machine(unsigned m) { return shards_[m].backend->machine(); }

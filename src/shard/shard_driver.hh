@@ -1,14 +1,14 @@
 /**
  * @file
- * The cluster driver: runs every shard's workload in bulk-synchronous
- * rounds (the per-machine generalization of the single-machine Rounds
- * scheduler) with a deterministic routing stream deciding, per
+ * The cluster driver: runs every shard's workload through the same
+ * round-robin slot loop as a single-machine run (runRoundRobin in
+ * sim/driver.hh), with a deterministic routing stream deciding, per
  * coordinator slot, whether the operation stays single-shard or becomes
  * a cross-shard 2PC transaction against a drawn peer shard.
  *
- * A 1-machine cluster delegates wholesale to runExperiment — literally
- * the same code path — so machines=1 results are cycle-identical to the
- * single-machine model by construction, not by reimplementation.
+ * A 1-machine cluster without faults never routes, so its results are
+ * cycle-identical to runExperiment's by construction: same loop, same
+ * barriers, same clocks.
  */
 
 #ifndef SSP_SHARD_SHARD_DRIVER_HH
@@ -27,16 +27,12 @@ namespace ssp::shard
 /** Metrics of one cluster run. */
 struct ShardRunResult
 {
-    /**
-     * Cluster-wide rollup: counters are sums across shards, cycles is
-     * the slowest shard's wall clock, per-core vectors sum the same
-     * core index across machines, and the write-set averages are
-     * per-shard means (max of maxima).
-     */
+    /** Cluster-wide rollup of the shards (see sumRuns). */
     RunResult aggregate;
     /** Per-shard deltas, index = shard. */
     std::vector<RunResult> shards;
-    /** 2PC accounting; all zero for a 1-machine cluster. */
+    /** 2PC accounting; a 1-machine cluster counts only single-shard
+     *  transactions. */
     ShardTxStats tx;
     /** Cross-machine messages priced by the NetworkModel. */
     std::uint64_t networkMessages = 0;
@@ -45,30 +41,20 @@ struct ShardRunResult
 };
 
 /**
- * Fault-harness surface of the cluster driver.  One implementation
- * (fault::FaultInjector) owns the cell's FaultPlan; the driver only
- * gives it deterministic injection points: the top of every coordinator
- * slot (where scheduled power-fails fire and window faults arm), the
- * log-ship charge after every single-shard commit, and the end of the
- * run (verification + delta accounting).
+ * Fault-harness surface of the cluster driver: the coordinator's logged
+ * 2PC hooks plus two deterministic injection points of the slot loop.
+ * One implementation (fault::FaultInjector) owns the cell's FaultPlan.
  */
-class ClusterFaultDriver
+class ClusterFaultDriver : public TxFaultHooks
 {
   public:
-    virtual ~ClusterFaultDriver() = default;
-
-    /** The TxFaultHooks to install on the coordinator. */
-    virtual TxFaultHooks *txHooks() = 0;
-
     /** Called at the top of every coordinator slot, before any
-     *  operation of the slot runs. */
+     *  operation of the slot runs (where scheduled power-fails fire and
+     *  window faults arm). */
     virtual void atSlotStart() = 0;
 
-    /** Cycles to ship one single-shard commit's log records to
-     *  @p machine's backup (0 when replication is off). */
-    virtual Cycles shipCommit(unsigned machine, CoreId core) = 0;
-
-    /** Called after the final barrier, before metrics are cut. */
+    /** Called once the run's metrics are cut (verification + delta
+     *  accounting). */
     virtual void atRunEnd() = 0;
 };
 
@@ -78,13 +64,11 @@ class ClusterFaultDriver
  * transaction with probability @p cross_shard_fraction (peer drawn
  * uniformly from the other shards); the routing stream is seeded by
  * @p route_seed, independent of every workload stream.  With one
- * machine the call is exactly runExperiment on shard 0.
+ * machine and no faults the run equals runExperiment on shard 0.
  *
  * @p faults, when non-null, arms the fault harness: scheduled machine
  * failures fire at slot boundaries, 2PC runs in the logged mode, and
- * commits are log-shipped when replication is on.  A 1-machine cluster
- * with faults armed runs the general loop (so failures can fire), not
- * the runExperiment delegate.
+ * commits are log-shipped when replication is on.
  */
 ShardRunResult runClusterExperiment(Cluster &cluster,
                                     std::uint64_t txs_per_shard,

@@ -1,6 +1,6 @@
 #include "sim/driver.hh"
 
-#include <queue>
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -44,166 +44,209 @@ RunResult::imbalance() const
     return static_cast<double>(peak) / mean;
 }
 
-RunBaseline
-captureRunBaseline(Experiment &exp)
+namespace
 {
-    AtomicityBackend &be = *exp.backend;
-    Machine &machine = be.machine();
-    MemoryBus &bus = machine.bus();
-    const CoherenceModel &coh = machine.coherence();
-    RunBaseline base;
-    base.clock = machine.maxClock();
-    base.commits = be.committedTxs();
-    base.nvramWrites = bus.nvramWrites();
-    base.loggingWrites = be.loggingWrites();
-    base.dataWrites = bus.nvramWrites(WriteCategory::Data) +
-                      bus.nvramWrites(WriteCategory::PageCopy);
-    base.consolidationWrites =
-        bus.nvramWrites(WriteCategory::Consolidation);
-    base.checkpointWrites = bus.nvramWrites(WriteCategory::Checkpoint);
-    base.coherenceFlips = coh.flipMessages();
-    base.coherenceInvalidations = coh.invalidations();
-    base.coherenceShootdowns = coh.shootdownsDelivered();
-    base.coherenceMessages = coh.messages();
-    base.directoryLookups = coh.directoryLookups();
-    base.hopTraversalCycles = coh.hopTraversalCycles();
-    base.snoopFilterEvictions = coh.snoopFilterEvictions();
-    base.backInvalidations = coh.backInvalidations();
-    base.conflicts = machine.conflicts().stats();
-    return base;
+
+/**
+ * RunResult's additive counters: a run's value is the difference of two
+ * snapshots, a cluster's the sum over its shards.  cycles (a clock, so
+ * a max across shards), the write-set statistics and journalWrites
+ * (derived) are handled apart.
+ */
+constexpr std::uint64_t RunResult::*kSummedCounters[] = {
+    &RunResult::committedTxs,
+    &RunResult::nvramWrites,
+    &RunResult::loggingWrites,
+    &RunResult::dataWrites,
+    &RunResult::consolidationWrites,
+    &RunResult::checkpointWrites,
+    &RunResult::coherenceFlips,
+    &RunResult::coherenceInvalidations,
+    &RunResult::coherenceShootdowns,
+    &RunResult::coherenceMessages,
+    &RunResult::directoryLookups,
+    &RunResult::hopTraversalCycles,
+    &RunResult::snoopFilterEvictions,
+    &RunResult::backInvalidations,
+    &RunResult::txAborts,
+    &RunResult::txRetries,
+    &RunResult::conflictsWriteWrite,
+    &RunResult::conflictsReadWrite,
+    &RunResult::backoffCycles,
+};
+
+/** Journal writes are the logging writes that are not checkpoints. */
+void
+deriveJournalWrites(RunResult &r)
+{
+    r.journalWrites = r.loggingWrites - r.checkpointWrites;
 }
 
-void
-finishRunMetrics(RunResult &res, Experiment &exp, const RunBaseline &base)
+} // namespace
+
+RunResult
+readCounters(Experiment &exp)
 {
     AtomicityBackend &be = *exp.backend;
     Machine &machine = be.machine();
     MemoryBus &bus = machine.bus();
     const CoherenceModel &coh = machine.coherence();
-
-    res.backend = be.name();
-    res.workload = exp.workload->name();
-    res.committedTxs = be.committedTxs() - base.commits;
-    res.cycles = machine.maxClock() - base.clock;
-    res.nvramWrites = bus.nvramWrites() - base.nvramWrites;
-    res.loggingWrites = be.loggingWrites() - base.loggingWrites;
-    res.dataWrites = bus.nvramWrites(WriteCategory::Data) +
-                     bus.nvramWrites(WriteCategory::PageCopy) -
-                     base.dataWrites;
-    res.consolidationWrites =
-        bus.nvramWrites(WriteCategory::Consolidation) -
-        base.consolidationWrites;
-    res.checkpointWrites = bus.nvramWrites(WriteCategory::Checkpoint) -
-                           base.checkpointWrites;
-    res.journalWrites = res.loggingWrites - res.checkpointWrites;
-    res.coherenceFlips = coh.flipMessages() - base.coherenceFlips;
-    res.coherenceInvalidations =
-        coh.invalidations() - base.coherenceInvalidations;
-    res.coherenceShootdowns =
-        coh.shootdownsDelivered() - base.coherenceShootdowns;
-    res.coherenceMessages = coh.messages() - base.coherenceMessages;
-    res.directoryLookups = coh.directoryLookups() - base.directoryLookups;
-    res.hopTraversalCycles =
-        coh.hopTraversalCycles() - base.hopTraversalCycles;
-    res.snoopFilterEvictions =
-        coh.snoopFilterEvictions() - base.snoopFilterEvictions;
-    res.backInvalidations =
-        coh.backInvalidations() - base.backInvalidations;
     const ConflictStats &conflicts = machine.conflicts().stats();
-    res.txAborts = conflicts.aborts - base.conflicts.aborts;
-    res.txRetries = conflicts.retries - base.conflicts.retries;
-    res.conflictsWriteWrite = conflicts.writeWriteConflicts -
-                              base.conflicts.writeWriteConflicts;
-    res.conflictsReadWrite = conflicts.readWriteConflicts -
-                             base.conflicts.readWriteConflicts;
-    res.backoffCycles =
-        conflicts.backoffCycles - base.conflicts.backoffCycles;
-
     const TxCharacterization &charz = be.characterization();
-    res.avgLinesPerTx = charz.linesPerTx.mean();
-    res.avgPagesPerTx = charz.pagesPerTx.mean();
-    res.maxPagesPerTx = charz.pagesPerTx.max();
+
+    RunResult r;
+    r.backend = be.name();
+    r.workload = exp.workload->name();
+    r.committedTxs = be.committedTxs();
+    r.cycles = machine.maxClock();
+    r.nvramWrites = bus.nvramWrites();
+    r.loggingWrites = be.loggingWrites();
+    r.dataWrites = bus.nvramWrites(WriteCategory::Data) +
+                   bus.nvramWrites(WriteCategory::PageCopy);
+    r.consolidationWrites = bus.nvramWrites(WriteCategory::Consolidation);
+    r.checkpointWrites = bus.nvramWrites(WriteCategory::Checkpoint);
+    deriveJournalWrites(r);
+    r.avgLinesPerTx = charz.linesPerTx.mean();
+    r.avgPagesPerTx = charz.pagesPerTx.mean();
+    r.maxPagesPerTx = charz.pagesPerTx.max();
+    r.coherenceFlips = coh.flipMessages();
+    r.coherenceInvalidations = coh.invalidations();
+    r.coherenceShootdowns = coh.shootdownsDelivered();
+    r.coherenceMessages = coh.messages();
+    r.directoryLookups = coh.directoryLookups();
+    r.hopTraversalCycles = coh.hopTraversalCycles();
+    r.snoopFilterEvictions = coh.snoopFilterEvictions();
+    r.backInvalidations = coh.backInvalidations();
+    r.txAborts = conflicts.aborts;
+    r.txRetries = conflicts.retries;
+    r.conflictsWriteWrite = conflicts.writeWriteConflicts;
+    r.conflictsReadWrite = conflicts.readWriteConflicts;
+    r.backoffCycles = conflicts.backoffCycles;
+    return r;
 }
 
 RunResult
-runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
-              ScheduleMode mode, const RunHooks &hooks)
+counterDelta(const RunResult &now, const RunResult &base)
 {
-    AtomicityBackend &be = *exp.backend;
-    Machine &machine = be.machine();
-    ssp_assert(num_cores >= 1 && num_cores <= machine.cfg().numCores,
-               "run uses more cores than the machine has");
+    RunResult d = now;
+    d.cycles = now.cycles - base.cycles;
+    for (std::uint64_t RunResult::*counter : kSummedCounters)
+        d.*counter -= base.*counter;
+    deriveJournalWrites(d);
+    return d;
+}
 
-    machine.syncClocks();
-    const RunBaseline base = captureRunBaseline(exp);
+RunResult
+sumRuns(const std::vector<RunResult> &shards)
+{
+    const std::size_t num_cores = shards[0].coreTxs.size();
+    RunResult agg;
+    agg.backend = shards[0].backend;
+    agg.workload = shards[0].workload;
+    agg.coreBusyCycles.assign(num_cores, 0);
+    agg.coreTxs.assign(num_cores, 0);
+    for (const RunResult &s : shards) {
+        for (std::uint64_t RunResult::*counter : kSummedCounters)
+            agg.*counter += s.*counter;
+        agg.cycles = std::max(agg.cycles, s.cycles);
+        agg.avgLinesPerTx += s.avgLinesPerTx;
+        agg.avgPagesPerTx += s.avgPagesPerTx;
+        agg.maxPagesPerTx = std::max(agg.maxPagesPerTx, s.maxPagesPerTx);
+        for (std::size_t c = 0; c < num_cores; ++c) {
+            agg.coreBusyCycles[c] += s.coreBusyCycles[c];
+            agg.coreTxs[c] += s.coreTxs[c];
+        }
+    }
+    agg.avgLinesPerTx /= static_cast<double>(shards.size());
+    agg.avgPagesPerTx /= static_cast<double>(shards.size());
+    deriveJournalWrites(agg);
+    return agg;
+}
 
-    RunResult res;
-    res.coreBusyCycles.assign(num_cores, 0);
-    res.coreTxs.assign(num_cores, 0);
-
-    auto run_one = [&](CoreId core) {
-        const Cycles op_start = machine.clock(core);
-        exp.workload->runOp(core);
-        res.coreBusyCycles[core] += machine.clock(core) - op_start;
-        ++res.coreTxs[core];
+std::vector<RunResult>
+runRoundRobin(std::span<Experiment> machines, std::uint64_t slots,
+              unsigned num_cores, const SlotOp &op,
+              const std::function<void()> &at_slot_start)
+{
+    const auto num_machines = static_cast<unsigned>(machines.size());
+    auto machine = [&](unsigned m) -> Machine & {
+        return machines[m].backend->machine();
     };
 
-    if (mode == ScheduleMode::Rounds) {
-        for (std::uint64_t i = 0; i < num_txs; ++i) {
-            const CoreId core = static_cast<CoreId>(i % num_cores);
-            if (hooks.beforeOp)
-                hooks.beforeOp(i);
-            run_one(core);
-            // Bulk-synchronous rounds: re-align core clocks after each
-            // round-robin cycle so shared-resource timing (bus, banks)
-            // is not distorted by simulation-order clock skew.
-            if (num_cores > 1 && core == num_cores - 1)
-                machine.syncClocks();
+    std::vector<RunResult> base;
+    base.reserve(num_machines);
+    for (unsigned m = 0; m < num_machines; ++m) {
+        ssp_assert(num_cores >= 1 &&
+                       num_cores <= machine(m).cfg().numCores,
+                   "run uses more cores than the machine has");
+        machine(m).syncClocks();
+        base.push_back(readCounters(machines[m]));
+    }
+
+    // Per-(machine, core) busy cycles and operation counts.
+    std::vector<std::vector<std::uint64_t>> busy(
+        num_machines, std::vector<std::uint64_t>(num_cores, 0));
+    std::vector<std::vector<std::uint64_t>> ops(
+        num_machines, std::vector<std::uint64_t>(num_cores, 0));
+    // Core clocks at the start of the current operation, per machine:
+    // the operation's peer is only known once it has run.
+    std::vector<Cycles> op_start(num_machines);
+    auto charge = [&](unsigned m, CoreId core) {
+        busy[m][core] += machine(m).clock(core) - op_start[m];
+        ++ops[m][core];
+    };
+
+    for (std::uint64_t i = 0; i < slots; ++i) {
+        const CoreId core = static_cast<CoreId>(i % num_cores);
+        if (at_slot_start)
+            at_slot_start();
+        for (unsigned m = 0; m < num_machines; ++m) {
+            for (unsigned x = 0; x < num_machines; ++x)
+                op_start[x] = machine(x).clock(core);
+            const unsigned peer = op(m, core);
+            ssp_assert(peer < num_machines, "slot ran outside the run");
+            if (peer != m)
+                charge(peer, core);
+            charge(m, core);
         }
-        // A final partial round (num_txs % num_cores != 0) must not
-        // leave core clocks skewed relative to the bulk-synchronous
-        // model — the run ends on the same barrier every full round
-        // ends on.
-        if (num_cores > 1)
-            machine.syncClocks();
-        for (unsigned c = 0; c < num_cores; ++c) {
-            ssp_assert(machine.clock(c) == machine.maxClock(),
-                       "core clocks skewed after the final barrier");
-        }
-    } else {
-        // Event-driven: always dispatch the core with the lowest clock
-        // (ties to the lowest core id, so the order is deterministic).
-        // Heap keys can go stale — peer invalidations and shootdown
-        // charges advance *other* cores' clocks mid-op — so a popped
-        // entry whose key no longer matches the core's clock is
-        // re-pushed with the corrected key instead of dispatched.
-        // Clocks only move forward, so the loop terminates.
-        using HeapEntry = std::pair<Cycles, CoreId>;
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>>
-            ready;
-        for (unsigned c = 0; c < num_cores; ++c)
-            ready.emplace(machine.clock(c), c);
-        for (std::uint64_t i = 0; i < num_txs; ++i) {
-            for (;;) {
-                const auto [when, core] = ready.top();
-                if (when != machine.clock(core)) {
-                    ready.pop();
-                    ready.emplace(machine.clock(core), core);
-                    continue;
-                }
-                ready.pop();
-                if (hooks.beforeOp)
-                    hooks.beforeOp(i);
-                run_one(core);
-                ready.emplace(machine.clock(core), core);
-                break;
-            }
+        // Bulk-synchronous rounds, per machine: re-align core clocks
+        // after each round-robin cycle so shared-resource timing (bus,
+        // banks) is not distorted by simulation-order clock skew.
+        // Machines never share a barrier: a cluster has no global
+        // clock, and cross-machine waits are priced by the network.
+        if (num_cores > 1 && core == num_cores - 1) {
+            for (unsigned m = 0; m < num_machines; ++m)
+                machine(m).syncClocks();
         }
     }
 
-    finishRunMetrics(res, exp, base);
+    std::vector<RunResult> res;
+    res.reserve(num_machines);
+    for (unsigned m = 0; m < num_machines; ++m) {
+        if (num_cores > 1)
+            machine(m).syncClocks();
+        for (CoreId c = 0; c < num_cores; ++c) {
+            ssp_assert(machine(m).clock(c) == machine(m).maxClock(),
+                       "core clocks skewed after the final barrier");
+        }
+        RunResult &r = res.emplace_back(
+            counterDelta(readCounters(machines[m]), base[m]));
+        r.coreBusyCycles = std::move(busy[m]);
+        r.coreTxs = std::move(ops[m]);
+    }
     return res;
+}
+
+RunResult
+runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores)
+{
+    auto op = [&](unsigned machine, CoreId core) {
+        exp.workload->runOp(core);
+        return machine;
+    };
+    return std::move(runRoundRobin(std::span<Experiment>(&exp, 1),
+                                   num_txs, num_cores, op)
+                         .front());
 }
 
 } // namespace ssp

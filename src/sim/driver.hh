@@ -5,14 +5,11 @@
  * conflicting work, as the paper assumes), and collects the metrics the
  * figures plot.
  *
- * Two core schedulers are provided.  ScheduleMode::Rounds is the
- * original bulk-synchronous model: cores take transactions round-robin
- * and re-align their clocks on a barrier after every round, so the five
- * checked-in closed-loop grids stay byte-identical.
- * ScheduleMode::EventDriven dispatches whichever core's clock is lowest
- * (a min-heap of (next-free-cycle, core), ties broken by core id) with
- * no barriers — the scheduler the open-loop request server (src/serve/)
- * is built on.
+ * Every closed-loop run, on one machine or a cluster of M, goes through
+ * one round-robin slot loop: slot i runs on core i % C of every
+ * machine, and each machine's core clocks re-align on a barrier after
+ * every round.  The open-loop request server (src/serve/) has its own
+ * event-driven dispatch on top of the same counters.
  */
 
 #ifndef SSP_SIM_DRIVER_HH
@@ -20,16 +17,20 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/conflict_manager.hh"
+#include "common/types.hh"
 #include "sim/system_builder.hh"
 
 namespace ssp
 {
 
-/** Metrics for one measured run (deltas over the post-setup baseline). */
+/**
+ * Metrics for one measured run (deltas over the post-setup baseline),
+ * or a snapshot of absolute counter values (readCounters).
+ */
 struct RunResult
 {
     /** Owned strings: results outlive the backend/workload objects the
@@ -92,15 +93,6 @@ struct RunResult
     double offeredLoad = 0;          ///< factor of closed-loop capacity
     /** @} */
 
-    /** @{ Fault-epoch tail latency (src/serve/ under injected faults):
-     *  completions inside a window around each injected crash are
-     *  binned separately, conditioning the tail on the fault.  All zero
-     *  when no fault fired. */
-    std::uint64_t faultEpochs = 0;    ///< injected crash windows
-    std::uint64_t faultEpochTxs = 0;  ///< completions inside them
-    std::uint64_t p99FaultEpochCycles = 0;
-    /** @} */
-
     /** Transactions per second at the simulated core frequency. */
     double tps() const;
 
@@ -114,70 +106,58 @@ struct RunResult
     double imbalance() const;
 };
 
-/** How the driver interleaves the simulated cores. */
-enum class ScheduleMode
-{
-    /** Round-robin with a clock barrier per round (the original
-     *  bulk-synchronous model; checked-in grids depend on it). */
-    Rounds,
-    /** Dispatch the core with the lowest clock next; no barriers. */
-    EventDriven,
-};
-
 /**
- * Snapshot of every counter a run's metrics are deltas over, taken at
- * measurement start.  Shared by the closed-loop driver here and the
- * open-loop request server (src/serve/), so both fill RunResult through
- * the same arithmetic.
+ * The current absolute value of every counter a run's metrics are
+ * built from, read once from @p exp's machine and backend.  A run's
+ * metrics are the counterDelta of two such snapshots.
  */
-struct RunBaseline
-{
-    Cycles clock = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t nvramWrites = 0;
-    std::uint64_t loggingWrites = 0;
-    std::uint64_t dataWrites = 0;
-    std::uint64_t consolidationWrites = 0;
-    std::uint64_t checkpointWrites = 0;
-    std::uint64_t coherenceFlips = 0;
-    std::uint64_t coherenceInvalidations = 0;
-    std::uint64_t coherenceShootdowns = 0;
-    std::uint64_t coherenceMessages = 0;
-    std::uint64_t directoryLookups = 0;
-    std::uint64_t hopTraversalCycles = 0;
-    std::uint64_t snoopFilterEvictions = 0;
-    std::uint64_t backInvalidations = 0;
-    ConflictStats conflicts{};
-};
-
-/** Snapshot the current counter values of @p exp's machine/backend. */
-RunBaseline captureRunBaseline(Experiment &exp);
-
-/** Fill @p res's delta metrics from the current counters vs @p base. */
-void finishRunMetrics(RunResult &res, Experiment &exp,
-                      const RunBaseline &base);
+RunResult readCounters(Experiment &exp);
 
 /**
- * Driver instrumentation points.  beforeOp, when set, runs immediately
- * before each dispatched operation with the operation's slot index —
- * the hook the fault harness uses to fire scheduled crashes at
- * deterministic positions in the dispatch order (never mid-operation,
- * so the injection is independent of host threading).
+ * The metrics of the run between snapshots @p base and @p now: every
+ * additive counter is @p now minus @p base, cycles is the wall-clock
+ * advance, and the write-set statistics are @p now's (they
+ * characterize every transaction the backend has run).
  */
-struct RunHooks
-{
-    std::function<void(std::uint64_t op_index)> beforeOp;
-};
+RunResult counterDelta(const RunResult &now, const RunResult &base);
 
 /**
- * Run @p num_txs operations on @p exp, interleaving @p num_cores cores
- * under @p mode.  Core clocks are synchronized at the start; wall time
- * is max core time.
+ * Cluster-wide rollup of per-shard runs: counters are sums across
+ * shards, cycles is the slowest shard's wall clock, per-core vectors
+ * sum the same core index across machines, and the write-set averages
+ * are per-shard means (max of maxima).
+ */
+RunResult sumRuns(const std::vector<RunResult> &shards);
+
+/**
+ * The per-slot body of the round-robin loop: runs machine @p machine's
+ * operation of the slot on @p core and returns the other machine it
+ * also ran on (the peer of a cross-shard transaction), or @p machine
+ * when it ran there alone.
+ */
+using SlotOp = std::function<unsigned(unsigned machine, CoreId core)>;
+
+/**
+ * The round-robin slot loop every closed-loop run goes through.  Slot i
+ * runs @p op for core i % @p num_cores on every machine of @p machines
+ * in turn, after @p at_slot_start (when set).  Each machine's core
+ * clocks re-align after every round-robin cycle and once more at the
+ * end, so a final partial round ends on the same barrier every full
+ * round ends on.  Returns each machine's metrics, deltas over the
+ * start barrier.
+ */
+std::vector<RunResult>
+runRoundRobin(std::span<Experiment> machines, std::uint64_t slots,
+              unsigned num_cores, const SlotOp &op,
+              const std::function<void()> &at_slot_start = {});
+
+/**
+ * Run @p num_txs operations on @p exp, round-robin across @p num_cores
+ * cores.  Core clocks are synchronized at the start; wall time is max
+ * core time.
  */
 RunResult runExperiment(Experiment &exp, std::uint64_t num_txs,
-                        unsigned num_cores,
-                        ScheduleMode mode = ScheduleMode::Rounds,
-                        const RunHooks &hooks = {});
+                        unsigned num_cores);
 
 } // namespace ssp
 

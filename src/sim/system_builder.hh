@@ -3,7 +3,7 @@
  * Builds a complete experiment: a backend (one of the four designs), an
  * allocator over its persistent heap, and a workload — then runs the
  * setup phase.  The measured run snapshots its own baseline
- * (captureRunBaseline in sim/driver.hh).
+ * (readCounters in sim/driver.hh).
  */
 
 #ifndef SSP_SIM_SYSTEM_BUILDER_HH

@@ -5,8 +5,8 @@
  * crash windows (coordinator crash in the blocking window resolves by
  * presumed abort; participant crash by vote timeout — and a crash swept
  * across every window never loses or duplicates an outcome), the
- * FaultInjector end to end on a cluster run, serve-path fault epochs,
- * and determinism of the fault sweep grid across worker counts.
+ * FaultInjector end to end on a cluster run, and determinism of the
+ * fault sweep grid across worker counts.
  */
 
 #include <set>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_injector.hh"
-#include "serve/server.hh"
 #include "shard/shard_driver.hh"
 #include "sweep/sweep_runner.hh"
 #include "tests/test_helpers.hh"
@@ -506,86 +505,6 @@ TEST(FaultInjector, WindowKindsDegradeToPowerFailWithoutPeers)
     EXPECT_GT(inj.stats().powerFails, 0u);
     EXPECT_EQ(inj.stats().coordinatorCrashes, 0u);
     EXPECT_EQ(inj.stats().participantCrashes, 0u);
-}
-
-// ---- serve fault epochs ----------------------------------------------------
-
-TEST(ServeFaults, EpochsBinTailLatencyAroundEachInjectedCrash)
-{
-    Experiment exp = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
-                                     faultConfig(2), faultScale());
-    serve::ServeParams params;
-    params.offeredLoad = 0.9;
-    // The second offset must land inside the run: the first fault's
-    // stall alone pushes every clock past 300k cycles.
-    params.faultAt = {1000, 300000};
-    const RunResult res = serve::runServeExperiment(exp, 400, 2, params);
-    EXPECT_EQ(res.faultEpochs, 2u);
-    EXPECT_GT(res.faultEpochTxs, 0u);
-    EXPECT_LE(res.faultEpochTxs, res.committedTxs);
-    EXPECT_GT(res.p99FaultEpochCycles, 0u);
-    // The epoch tail carries the outage stall, so it never undercuts
-    // the run's median (ties happen: the log-scale histogram buckets
-    // coarsen, and these early faults dominate the whole short run).
-    EXPECT_GE(res.p99FaultEpochCycles, res.p50Cycles);
-    EXPECT_TRUE(exp.workload->verify());
-}
-
-TEST(ServeFaults, NoFaultsMeansTheByteIdenticalBaseline)
-{
-    serve::ServeParams params;
-    params.offeredLoad = 0.9;
-    Experiment a = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
-                                   faultConfig(2), faultScale());
-    const RunResult base = serve::runServeExperiment(a, 300, 2, params);
-    EXPECT_EQ(base.faultEpochs, 0u);
-    EXPECT_EQ(base.faultEpochTxs, 0u);
-    EXPECT_EQ(base.p99FaultEpochCycles, 0u);
-
-    // An empty faultAt takes zero fault branches: same results.
-    serve::ServeParams same = params;
-    same.faultAt = {};
-    Experiment b = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
-                                   faultConfig(2), faultScale());
-    const RunResult again = serve::runServeExperiment(b, 300, 2, same);
-    EXPECT_EQ(base.cycles, again.cycles);
-    EXPECT_EQ(base.p99Cycles, again.p99Cycles);
-    EXPECT_EQ(base.committedTxs, again.committedTxs);
-}
-
-// ---- driver hooks ----------------------------------------------------------
-
-TEST(RunHooks, BeforeOpFiresOncePerSlotInBothSchedulers)
-{
-    for (ScheduleMode mode :
-         {ScheduleMode::Rounds, ScheduleMode::EventDriven}) {
-        Experiment exp = buildExperiment(
-            BackendKind::Ssp, WorkloadKind::Sps, faultConfig(2),
-            faultScale());
-        std::uint64_t calls = 0;
-        RunHooks hooks;
-        hooks.beforeOp = [&](std::uint64_t) { ++calls; };
-        const RunResult res = runExperiment(exp, 120, 2, mode, hooks);
-        EXPECT_EQ(calls, 120u);
-        EXPECT_EQ(res.committedTxs, 120u);
-    }
-}
-
-TEST(RunHooks, MidRunCrashBetweenOpsKeepsEveryCommit)
-{
-    Experiment exp = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
-                                     faultConfig(2), faultScale());
-    RunHooks hooks;
-    hooks.beforeOp = [&](std::uint64_t i) {
-        if (i == 50) {
-            exp.backend->crash();
-            exp.backend->recover();
-        }
-    };
-    const RunResult res =
-        runExperiment(exp, 120, 2, ScheduleMode::Rounds, hooks);
-    EXPECT_EQ(res.committedTxs, 120u);
-    EXPECT_TRUE(exp.workload->verify());
 }
 
 // ---- fault sweep grid ------------------------------------------------------

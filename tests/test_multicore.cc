@@ -2,18 +2,22 @@
  * @file
  * Multi-core correctness: flip-current-bit shootdown of stale peer
  * lines on CoW remap, bulk-synchronous clock alignment after partial
- * rounds, determinism of the scale grid under the parallel sweep
- * runner, contention monotonicity on a Zipf-shared workload, the
- * TX-bit-aware categorization of L3 victim write-backs, and the
- * replay of contended scale cells against the checked-in report (the
- * sharer-index/hot-path work must not move a simulated cycle).
+ * rounds (one machine and a cluster), determinism of the scale grid
+ * under the parallel sweep runner, contention monotonicity on a
+ * Zipf-shared workload, the TX-bit-aware categorization of L3 victim
+ * write-backs, and the replay of contended scale cells against the
+ * checked-in report (the sharer-index/hot-path work must not move a
+ * simulated cycle).
  */
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "shard/shard_driver.hh"
 #include "sim/driver.hh"
 #include "sim/system_builder.hh"
 #include "sweep/sweep_runner.hh"
@@ -108,17 +112,30 @@ TEST(Multicore, PartialRoundsLeaveClocksSynced)
     scale.keySpace = 256;
     scale.spsElements = 1024;
     scale.seed = 7;
+    auto expect_synced = [](Machine &m, const RunResult &res,
+                            const std::string &row) {
+        for (CoreId c = 0; c < 3; ++c)
+            EXPECT_EQ(m.clock(c), m.maxClock()) << row << " core " << c;
+        EXPECT_EQ(res.coreTxs, (std::vector<std::uint64_t>{4, 3, 3}))
+            << row;
+    };
+
+    // 10 % 3 != 0: the run ends on a partial round.
     Experiment exp = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
                                      smallConfig(4), scale);
-    // 10 % 3 != 0: the run ends on a partial round.
     RunResult res = runExperiment(exp, 10, 3);
-    Machine &m = exp.backend->machine();
-    for (CoreId c = 0; c < 3; ++c)
-        EXPECT_EQ(m.clock(c), m.maxClock()) << "core " << c;
-    ASSERT_EQ(res.coreTxs.size(), 3u);
-    EXPECT_EQ(res.coreTxs[0], 4u);
-    EXPECT_EQ(res.coreTxs[1], 3u);
-    EXPECT_EQ(res.coreTxs[2], 3u);
+    expect_synced(exp.backend->machine(), res, "one machine");
+
+    // The same final barrier on every machine of a cluster.
+    shard::Cluster cluster(BackendKind::Ssp, WorkloadKind::Sps,
+                           smallConfig(4), scale, 2);
+    const shard::ShardRunResult cluster_res =
+        shard::runClusterExperiment(cluster, 10, 3, 0, 7);
+    ASSERT_EQ(cluster_res.shards.size(), 2u);
+    for (unsigned m = 0; m < 2; ++m) {
+        expect_synced(cluster.machine(m), cluster_res.shards[m],
+                      "machine " + std::to_string(m));
+    }
 }
 
 TEST(Multicore, ScaleSweepDeterministicAcrossJobs)

@@ -147,7 +147,8 @@ TEST(ShardDriver, OneMachineClusterMatchesTheSingleMachineDriver)
 
     ASSERT_EQ(cluster_res.shards.size(), 1u);
     expectSameRun(cluster_res.aggregate, single_res);
-    // No network, no 2PC state on the fast path.
+    // One machine: no network, no cross-shard transactions.
+    EXPECT_EQ(cluster_res.tx.singleShardTxs, 200u);
     EXPECT_EQ(cluster_res.tx.crossShardTxs, 0u);
     EXPECT_EQ(cluster_res.networkMessages, 0u);
     EXPECT_EQ(cluster_res.networkCycles, 0u);
