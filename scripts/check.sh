@@ -125,10 +125,11 @@ python3 "$repo_root/scripts/diff_scale_smoke.py" \
     "$repo_root/BENCH_smoke.json" "$build_dir/BENCH_scale_c1.json"
 
 echo "== --time harness validation =="
-# A timed run must carry host_ms on every cell and host_ms_total on
-# the document, while leaving every simulated metric untouched —
-# perf_compare hard-fails on cycle drift and, with both sides timed,
-# would flag regressions (the untimed side here skips that leg).
+# A timed run must carry host_ms and its phases on every cell and
+# host_ms_total on the document, while leaving every simulated metric
+# untouched — perf_compare hard-fails on cycle drift and, with both
+# sides timed, would flag regressions (the untimed side here skips
+# that leg).
 "$build_dir/sweep_main" --figure smoke --jobs 1 --quiet --time \
     --json "$build_dir/BENCH_smoke_timed.json"
 python3 - "$build_dir/BENCH_smoke_timed.json" <<'EOF'
@@ -137,6 +138,9 @@ doc = json.load(open(sys.argv[1]))
 assert "host_ms_total" in doc, "--time must emit host_ms_total"
 assert all("host_ms" in c for c in doc["cells"]), \
     "--time must emit host_ms per cell"
+for phase in ("build", "setup", "clone", "run"):
+    assert all(f"host_ms_{phase}" in c for c in doc["cells"]), \
+        f"--time must emit host_ms_{phase} per cell"
 print("host_ms present; total %.1f ms" % doc["host_ms_total"])
 EOF
 python3 "$repo_root/scripts/perf_compare.py" \

@@ -3,17 +3,22 @@
 
 The checked-in sweep reports are untimed by design (byte-stable), so
 host-time history needs its own ledger.  Each entry records the
-host_ms_total of one timed sweep (`sweep_main --time`) at one PR:
+host_ms_total of one timed sweep (`sweep_main --time`) at one PR, plus
+the per-phase totals (summed host_ms_build / _setup / _clone / _run of
+its cells) when the report carries them:
 
     {"schema": "ssp-host-bench-v1",
      "entries": [{"pr": 7, "figure": "scale64", "cells": 54,
-                  "host_ms_total": 15200.0}, ...]}
+                  "host_ms_total": 15200.0,
+                  "phase_ms": {"build": 300.0, "setup": 12100.0,
+                               "clone": 0.0, "run": 2700.0}}, ...]}
 
 Subcommands:
 
   append LEDGER --pr N TIMED.json [TIMED.json ...]
-      Record each timed report's host_ms_total under PR N, replacing
-      any existing (pr, figure) entry so re-runs are idempotent.
+      Record each timed report's host_ms_total (and phase totals) under
+      PR N, replacing any existing (pr, figure) entry so re-runs are
+      idempotent.
 
   compare LEDGER TIMED.json [--threshold X] [--warn-only]
       Compare a fresh timed run against the most recent ledger entry
@@ -31,6 +36,8 @@ import json
 import sys
 
 SCHEMA = "ssp-host-bench-v1"
+# Per-cell host phases a timed report carries (sweep_runner.hh).
+PHASES = ("build", "setup", "clone", "run")
 
 
 def load_ledger(path):
@@ -55,11 +62,18 @@ def load_timed(path):
     if bad:
         sys.exit(f"host_bench: {path} has {len(bad)} failed cell(s) "
                  f"(e.g. {bad[0]}); refusing to record a partial total")
-    return {
+    timed = {
         "figure": doc["figure"],
         "cells": len(doc.get("cells", [])),
         "host_ms_total": doc["host_ms_total"],
     }
+    cells = doc.get("cells", [])
+    if cells and all(f"host_ms_{p}" in c for c in cells for p in PHASES):
+        timed["phase_ms"] = {
+            p: round(sum(c[f"host_ms_{p}"] for c in cells), 3)
+            for p in PHASES
+        }
+    return timed
 
 
 def cmd_append(args):
@@ -71,9 +85,11 @@ def cmd_append(args):
             e for e in ledger["entries"]
             if not (e["pr"] == args.pr and e["figure"] == timed["figure"])
         ] + [entry]
+        phases = "".join(f", {p} {ms:.1f}"
+                         for p, ms in timed.get("phase_ms", {}).items())
         print(f"recorded pr {args.pr} {timed['figure']} "
               f"({timed['cells']} cells): "
-              f"{timed['host_ms_total']:.1f} ms")
+              f"{timed['host_ms_total']:.1f} ms{phases}")
     ledger["entries"].sort(key=lambda e: (e["figure"], e["pr"]))
     with open(args.ledger, "w") as f:
         json.dump(ledger, f, indent=2)

@@ -10,6 +10,13 @@ BaselineBase::BaselineBase(const SspConfig &cfg)
 {
 }
 
+BaselineBase::BaselineBase(const BaselineBase &other)
+    : machine_(std::make_unique<Machine>(*other.machine_)), tx_(other.tx_),
+      nextTid_(other.nextTid_), committedTxs_(other.committedTxs_),
+      charz_(other.charz_)
+{
+}
+
 void
 BaselineBase::begin(CoreId core)
 {

@@ -62,6 +62,10 @@ class BaselineBase : public AtomicityBackend
     const SspConfig &cfg() const { return machine_->cfg(); }
 
   protected:
+    /** A deep copy: its own copy of @p other's machine. */
+    BaselineBase(const BaselineBase &other);
+    BaselineBase &operator=(const BaselineBase &) = delete;
+
     /**
      * Timed translation through the TLB (page walk on a miss); baselines
      * have no SSP metadata to fetch.

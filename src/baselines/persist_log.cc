@@ -17,7 +17,7 @@ constexpr Cycles kWpqAckCycles = 30;
 PersistLog::PersistLog(MemoryBus &bus, Addr base_addr,
                        std::uint64_t capacity_bytes, WriteCategory category,
                        bool line_padded)
-    : bus_(bus), baseAddr_(base_addr), capacityBytes_(capacity_bytes),
+    : bus_(&bus), baseAddr_(base_addr), capacityBytes_(capacity_bytes),
       category_(category), linePadded_(line_padded)
 {
     ssp_assert(lineOffset(base_addr) == 0);
@@ -36,7 +36,7 @@ PersistLog::persistUpTo(std::uint64_t upto, Cycles now, bool partial)
     bool wrote = false;
     for (std::uint64_t line = countedLines_; line < last_line; ++line) {
         Cycles t =
-            bus_.issueWrite(baseAddr_ + line * kLineSize, category_, now);
+            bus_->issueWrite(baseAddr_ + line * kLineSize, category_, now);
         ++lineWrites_;
         done = std::max(done, t);
         wrote = true;

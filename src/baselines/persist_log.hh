@@ -73,6 +73,14 @@ class PersistLog
     PersistLog(MemoryBus &bus, Addr base_addr, std::uint64_t capacity_bytes,
                WriteCategory category, bool line_padded = false);
 
+    /** Copy of @p other's records and cursors, writing through @p bus. */
+    PersistLog(const PersistLog &other, MemoryBus &bus) : PersistLog(other)
+    {
+        bus_ = &bus;
+    }
+
+    PersistLog &operator=(const PersistLog &) = delete;
+
     /**
      * Append a record.
      * @param persist_now Synchronous logging (undo): stall until the
@@ -120,9 +128,11 @@ class PersistLog
     std::uint64_t lineWrites() const { return lineWrites_; }
 
   private:
+    PersistLog(const PersistLog &) = default;
+
     Cycles persistUpTo(std::uint64_t upto, Cycles now, bool partial);
 
-    MemoryBus &bus_;
+    MemoryBus *bus_;
     Addr baseAddr_;
     std::uint64_t capacityBytes_;
     WriteCategory category_;

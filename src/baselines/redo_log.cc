@@ -215,4 +215,18 @@ RedoLogBackend::loggingWrites() const
     return machine_->bus().nvramWrites(WriteCategory::RedoLog);
 }
 
+RedoLogBackend::RedoLogBackend(const RedoLogBackend &other)
+    : BaselineBase(other), writeBuf_(other.writeBuf_),
+      phase1Done_(other.phase1Done_)
+{
+    for (const auto &log : other.logs_)
+        logs_.push_back(std::make_unique<PersistLog>(*log, machine_->bus()));
+}
+
+std::unique_ptr<AtomicityBackend>
+RedoLogBackend::clone() const
+{
+    return std::unique_ptr<AtomicityBackend>(new RedoLogBackend(*this));
+}
+
 } // namespace ssp

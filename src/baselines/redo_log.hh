@@ -34,6 +34,7 @@ class RedoLogBackend : public BaselineBase
   public:
     explicit RedoLogBackend(const SspConfig &cfg);
 
+    std::unique_ptr<AtomicityBackend> clone() const override;
     const char *name() const override { return "REDO-LOG"; }
     void store(CoreId core, Addr vaddr, const void *buf,
                std::uint64_t size) override;
@@ -60,6 +61,8 @@ class RedoLogBackend : public BaselineBase
                       void *buf, std::uint64_t size) override;
 
   private:
+    RedoLogBackend(const RedoLogBackend &other);
+
     using LineImage = std::array<std::uint8_t, kLineSize>;
 
     void storeLine(CoreId core, Addr vaddr, const void *buf,

@@ -91,6 +91,12 @@ ShadowPagingBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
         now = copied;
         it = shadow_[core].emplace(vpn, dst).first;
         tx.pages.insert(vpn);
+        // Commit switches the whole page, so for conflict detection the
+        // transaction writes every line of it: two overlapping
+        // transactions that CoW the same page must not both commit, or
+        // the later switch would drop the earlier one's lines.
+        for (unsigned li = 0; li < kLinesPerPage; ++li)
+            machine_->conflicts().recordWrite(core, lineAddr(vpn, li));
     }
 
     const Ppn ppn = it->second;
@@ -140,7 +146,10 @@ ShadowPagingBackend::commit(CoreId core)
         const Ppn old = machine_->pt().translate(vpn);
         machine_->pt().map(vpn, ppn);
         pool_.release(old);
-        machine_->tlb(core).evict(vpn); // translation changed
+        // The translation changed: shoot it down in every core's TLB,
+        // or a peer would keep reading the released page.
+        for (CoreId c = 0; c < cfg().numCores; ++c)
+            machine_->tlb(c).evict(vpn);
     }
     // Bound the mapping journal (a real system would checkpoint).
     mapJournal_->truncate();
@@ -213,6 +222,20 @@ ShadowPagingBackend::loggingWrites() const
 {
     return machine_->bus().nvramWrites(WriteCategory::MetaJournal) +
            machine_->bus().nvramWrites(WriteCategory::PageCopy);
+}
+
+ShadowPagingBackend::ShadowPagingBackend(const ShadowPagingBackend &other)
+    : BaselineBase(other), shadow_(other.shadow_),
+      mapJournal_(std::make_unique<PersistLog>(*other.mapJournal_,
+                                               machine_->bus())),
+      pool_(other.pool_)
+{
+}
+
+std::unique_ptr<AtomicityBackend>
+ShadowPagingBackend::clone() const
+{
+    return std::unique_ptr<AtomicityBackend>(new ShadowPagingBackend(*this));
 }
 
 } // namespace ssp

@@ -33,6 +33,7 @@ class ShadowPagingBackend : public BaselineBase
   public:
     explicit ShadowPagingBackend(const SspConfig &cfg);
 
+    std::unique_ptr<AtomicityBackend> clone() const override;
     const char *name() const override { return "SHADOW"; }
     void store(CoreId core, Addr vaddr, const void *buf,
                std::uint64_t size) override;
@@ -47,6 +48,8 @@ class ShadowPagingBackend : public BaselineBase
     void onCrash() override;
 
   private:
+    ShadowPagingBackend(const ShadowPagingBackend &other);
+
     void storeLine(CoreId core, Addr vaddr, const void *buf,
                    std::uint64_t size);
 

@@ -163,4 +163,17 @@ UndoLogBackend::loggingWrites() const
     return machine_->bus().nvramWrites(WriteCategory::UndoLog);
 }
 
+UndoLogBackend::UndoLogBackend(const UndoLogBackend &other)
+    : BaselineBase(other)
+{
+    for (const auto &log : other.logs_)
+        logs_.push_back(std::make_unique<PersistLog>(*log, machine_->bus()));
+}
+
+std::unique_ptr<AtomicityBackend>
+UndoLogBackend::clone() const
+{
+    return std::unique_ptr<AtomicityBackend>(new UndoLogBackend(*this));
+}
+
 } // namespace ssp

@@ -31,6 +31,7 @@ class UndoLogBackend : public BaselineBase
   public:
     explicit UndoLogBackend(const SspConfig &cfg);
 
+    std::unique_ptr<AtomicityBackend> clone() const override;
     const char *name() const override { return "UNDO-LOG"; }
     void store(CoreId core, Addr vaddr, const void *buf,
                std::uint64_t size) override;
@@ -45,6 +46,8 @@ class UndoLogBackend : public BaselineBase
     void onCrash() override {}
 
   private:
+    UndoLogBackend(const UndoLogBackend &other);
+
     void storeLine(CoreId core, Addr vaddr, const void *buf,
                    std::uint64_t size);
 

@@ -15,15 +15,41 @@ Cache::Cache(const CacheParams &params) : params_(params)
     numSets_ = num_lines / params.ways;
     ssp_assert(numSets_ > 0);
     numLines_ = num_lines;
-    // calloc: all-zero tag words are valid==false, and the OS hands back
-    // lazily-mapped zero pages — a 96 MiB L3's tag array costs nothing
-    // until its sets are actually filled (every sweep cell builds a
-    // fresh machine, so eager zeroing was measurable per-cell setup).
-    tags_.reset(static_cast<std::uint64_t *>(
-        std::calloc(num_lines, sizeof(std::uint64_t))));
-    lru_.reset(static_cast<std::uint64_t *>(
-        std::calloc(num_lines, sizeof(std::uint64_t))));
-    ssp_assert(tags_ != nullptr && lru_ != nullptr);
+    // All-zero tag words are valid==false.  The arrays are ZeroedArrays,
+    // so a 96 MiB L3's tag array costs nothing until its sets actually
+    // fill — in every machine a thread builds, not only the first
+    // (every sweep cell builds or copies a machine, so eager zeroing
+    // was measurable per-cell setup).
+    tags_ = ZeroedArray<std::uint64_t>(num_lines);
+    lru_ = ZeroedArray<std::uint64_t>(num_lines);
+    touched_.assign((num_lines + kChunkLines - 1) / kChunkLines, 0);
+}
+
+Cache::Cache(const Cache &other, SharerIndex *sharers)
+    : sharers_(sharers), shareCore_(other.shareCore_),
+      shareLevel_(other.shareLevel_), params_(other.params_),
+      numSets_(other.numSets_), numLines_(other.numLines_),
+      tags_(numLines_), lru_(numLines_), touched_(other.touched_),
+      lruClock_(other.lruClock_), hits_(other.hits_),
+      misses_(other.misses_), evictions_(other.evictions_)
+{
+    forEachTouchedChunk([&](std::uint64_t first, std::uint64_t n) {
+        tags_.copyRange(other.tags_, first, n);
+        lru_.copyRange(other.lru_, first, n);
+    });
+}
+
+Cache::~Cache()
+{
+    // Only touched chunks were ever written, so zeroing them restores
+    // all-zero arrays: the next cache of this size the thread builds
+    // reuses their pages instead of faulting in fresh ones.
+    forEachTouchedChunk([&](std::uint64_t first, std::uint64_t n) {
+        tags_.zeroRange(first, n);
+        lru_.zeroRange(first, n);
+    });
+    tags_.recycle();
+    lru_.recycle();
 }
 
 std::uint64_t
@@ -131,6 +157,7 @@ Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
         notifyRemove(old & kTagMask);
     }
     notifyAdd(line_addr);
+    touched_[idx / kChunkLines] = 1;
     tags_[idx] = line_addr | kValidBit | (dirty ? kDirtyBit : 0) |
                  (tx ? kTxFlagBit : 0);
     touch(idx);
@@ -208,18 +235,20 @@ Cache::remap(Addr old_addr, Addr new_addr)
 void
 Cache::invalidateAll()
 {
-    for (std::uint64_t i = 0; i < numLines_; ++i) {
-        // Write only slots that were ever filled: invalid slots are
-        // behaviorally inert whatever their bytes say (every reader
-        // gates on the valid bit), and skipping the store keeps the
-        // calloc-backed arrays' untouched pages unmapped across
-        // simulated power failures.
-        if ((tags_[i] & kValidBit) == 0)
-            continue;
-        notifyRemove(tags_[i] & kTagMask);
-        tags_[i] = 0;
-        lru_[i] = 0;
-    }
+    // Untouched chunks are all zero: skipping them keeps their pages
+    // unmapped across simulated power failures.
+    forEachTouchedChunk([&](std::uint64_t first, std::uint64_t n) {
+        for (std::uint64_t i = first; i < first + n; ++i) {
+            // Write only valid slots: invalid slots are behaviorally
+            // inert whatever their bytes say (every reader gates on
+            // the valid bit).
+            if ((tags_[i] & kValidBit) == 0)
+                continue;
+            notifyRemove(tags_[i] & kTagMask);
+            tags_[i] = 0;
+            lru_[i] = 0;
+        }
+    });
 }
 
 std::uint64_t

@@ -16,12 +16,13 @@
 #ifndef SSP_CACHE_CACHE_HH
 #define SSP_CACHE_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace ssp
 {
@@ -38,6 +39,8 @@ struct CacheParams
     unsigned ways = 8;
     /** Lookup latency in core cycles (Table 2: 4 / 6 / 27). */
     Cycles latency = 4;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Result of a cache lookup/allocation. */
@@ -67,6 +70,21 @@ class Cache
 {
   public:
     explicit Cache(const CacheParams &params);
+
+    /**
+     * Copy of @p other's full state (tags, LRU stamps and clock,
+     * counters), reporting to @p sharers in @p other's place (nullptr
+     * for a detached cache).  Only the chunks of the tag and LRU arrays
+     * a fill ever touched are copied, so a big, mostly empty L3 stays
+     * lazily mapped in the copy too.
+     */
+    Cache(const Cache &other, SharerIndex *sharers);
+
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
+    /** Zeroes the chunks fills touched and recycles the arrays. */
+    ~Cache();
 
     /**
      * Register this cache as core @p core's level-@p level private
@@ -146,9 +164,9 @@ class Cache
     /**
      * Packed tag word: the 64-byte-aligned line address ORed with the
      * state flags in the low bits.  All-zero is the invalid/reset
-     * state, so the backing array can be calloc'd: a big L3's tag
-     * array then costs address space, not a touched page per set,
-     * until lines actually land in it.
+     * state, so the backing array is a ZeroedArray: a big L3's tag
+     * array costs address space, not a touched page per set, until
+     * lines actually land in it.
      */
     static constexpr std::uint64_t kValidBit = 1;
     static constexpr std::uint64_t kDirtyBit = 2;
@@ -157,6 +175,8 @@ class Cache
     static constexpr std::uint64_t kTagMask = ~kFlagsMask;
     /** "No such line" sentinel index. */
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+    /** Lines per touched-chunk flag: one 4 KiB page of tag words. */
+    static constexpr std::uint64_t kChunkLines = kPageSize / 8;
 
     std::uint64_t setOf(Addr line_addr) const;
     /** Index of @p line_addr's slot, or kNoLine when absent. */
@@ -169,16 +189,36 @@ class Cache
     /** Allocate @p line_addr (known absent) over the set's victim. */
     CacheAccessResult fillVictim(Addr line_addr, bool dirty, bool tx);
 
+    /** Call @p fn(first, count) with each touched chunk's line range. */
+    template <typename Fn>
+    void
+    forEachTouchedChunk(Fn &&fn) const
+    {
+        for (std::uint64_t c = 0; c < touched_.size(); ++c) {
+            if (touched_[c] != 0) {
+                const std::uint64_t first = c * kChunkLines;
+                fn(first, std::min(kChunkLines, numLines_ - first));
+            }
+        }
+    }
+
     SharerIndex *sharers_ = nullptr;
     CoreId shareCore_ = 0;
     unsigned shareLevel_ = 0;
     CacheParams params_;
     std::uint64_t numSets_;
     std::uint64_t numLines_;
-    /** numLines_ packed tag words, set-major; calloc'd (see above). */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
-    /** numLines_ LRU stamps, parallel to tags_; calloc'd. */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> lru_;
+    /** numLines_ packed tag words, set-major; zeroed (see above). */
+    ZeroedArray<std::uint64_t> tags_;
+    /** numLines_ LRU stamps, parallel to tags_. */
+    ZeroedArray<std::uint64_t> lru_;
+    /**
+     * One flag per kChunkLines-line chunk of tags_ and lru_: set once a
+     * fill lands in the chunk.  Every other write hits a valid line,
+     * so an unflagged chunk is still all zero — copies and power
+     * failures skip it without reading it.
+     */
+    std::vector<std::uint8_t> touched_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

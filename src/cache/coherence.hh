@@ -70,6 +70,8 @@ struct CoherenceParams
      * inclusion property directories enforce).  0 = unbounded.
      */
     unsigned snoopFilterEntries = 4096;
+
+    bool operator==(const CoherenceParams &) const = default;
 };
 
 /**
@@ -96,6 +98,13 @@ class CoherenceModel
     }
 
     virtual ~CoherenceModel() = default;
+
+    /**
+     * A copy of the model's full state — counters, filters, pending
+     * maintenance — with no back-invalidation callback installed: the
+     * owner of the copy attaches its own (attachBackInvalidator).
+     */
+    virtual std::unique_ptr<CoherenceModel> clone() const = 0;
 
     /**
      * Price a flip-current-bit send for the sub-page holding @p line,
@@ -253,6 +262,12 @@ class BroadcastCoherence final : public CoherenceModel
     BroadcastCoherence(unsigned num_cores, Cycles broadcast_latency)
         : CoherenceModel(num_cores), broadcastLatency_(broadcast_latency)
     {
+    }
+
+    std::unique_ptr<CoherenceModel>
+    clone() const override
+    {
+        return std::make_unique<BroadcastCoherence>(*this);
     }
 
     Cycles

@@ -30,6 +30,19 @@ CacheHierarchy::CacheHierarchy(unsigned num_cores,
     l3_ = std::make_unique<Cache>(params.l3);
 }
 
+CacheHierarchy::CacheHierarchy(const CacheHierarchy &other, MemoryBus &bus)
+    : params_(other.params_), bus_(bus), indexed_(other.indexed_),
+      sharers_(other.sharers_)
+{
+    sharers_.attachListener(nullptr);
+    SharerIndex *index = indexed_ ? &sharers_ : nullptr;
+    for (std::size_t i = 0; i < other.l1s_.size(); ++i) {
+        l1s_.push_back(std::make_unique<Cache>(*other.l1s_[i], index));
+        l2s_.push_back(std::make_unique<Cache>(*other.l2s_[i], index));
+    }
+    l3_ = std::make_unique<Cache>(*other.l3_, nullptr);
+}
+
 void
 CacheHierarchy::attachCoherence(CoherenceModel *model)
 {

@@ -30,6 +30,8 @@ struct HierarchyParams
     CacheParams l1{"l1d", 32 * 1024, 8, 4};
     CacheParams l2{"l2", 256 * 1024, 8, 6};
     CacheParams l3{"l3", 12 * 1024 * 1024, 16, 27};
+
+    bool operator==(const HierarchyParams &) const = default;
 };
 
 /**
@@ -52,6 +54,17 @@ class CacheHierarchy
      */
     CacheHierarchy(unsigned num_cores, const HierarchyParams &params,
                    MemoryBus &bus, bool force_sharer_index = false);
+
+    /**
+     * Copy of @p other's caches and sharer index over @p bus.  No
+     * coherence model is attached: the owner re-attaches its own copy
+     * of the model (attachCoherence), which also re-wires the index's
+     * listener.
+     */
+    CacheHierarchy(const CacheHierarchy &other, MemoryBus &bus);
+
+    CacheHierarchy(const CacheHierarchy &) = delete;
+    CacheHierarchy &operator=(const CacheHierarchy &) = delete;
 
     /**
      * Attach the coherence model (done by Machine after construction).

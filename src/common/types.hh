@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <cstdlib>
 
 // The tree leans on C++20 throughout (defaulted operator== as in
 // common/bitmap64.hh, __VA_OPT__ in common/logging.hh, ...).  Fail fast
@@ -26,12 +25,6 @@
 
 namespace ssp
 {
-
-/** Deleter for calloc-backed arrays (lazily-mapped zero pages). */
-struct FreeDeleter
-{
-    void operator()(void *p) const { std::free(p); }
-};
 
 /** A byte address (virtual or physical, context-dependent). */
 using Addr = std::uint64_t;

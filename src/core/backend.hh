@@ -17,6 +17,7 @@
 #define SSP_CORE_BACKEND_HH
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "common/stats.hh"
@@ -50,6 +51,14 @@ class AtomicityBackend
 {
   public:
     virtual ~AtomicityBackend() = default;
+
+    /**
+     * A copy of the design's full simulated state — its machine and
+     * every persistent and volatile structure built on it — sharing
+     * nothing with this one.  Running the copy gives exactly the
+     * results running this one would.
+     */
+    virtual std::unique_ptr<AtomicityBackend> clone() const = 0;
 
     /** Design name for reports ("SSP", "UNDO-LOG", ...). */
     virtual const char *name() const = 0;

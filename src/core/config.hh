@@ -109,6 +109,9 @@ struct SspConfig
      *  consolidations (wear leveling, section 4.1.2); 0 disables. */
     std::uint64_t wearRotatePeriod = 0;
 
+    /** Field-by-field: two equal configs build identical machines. */
+    bool operator==(const SspConfig &) const = default;
+
     // ---- derived layout -------------------------------------------------
     std::uint64_t
     nvramPages() const

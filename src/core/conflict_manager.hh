@@ -64,6 +64,8 @@ struct ConflictParams
     Cycles backoffBase = 64;
     /** Cap on the backoff doublings (base << cap is the ceiling). */
     unsigned backoffCapDoublings = 6;
+
+    bool operator==(const ConflictParams &) const = default;
 };
 
 /** Aggregate conflict accounting for one machine. */

@@ -43,15 +43,7 @@ class Machine
           conflicts_(cfg.numCores, cfg.conflicts),
           clocks_(cfg.numCores, 0)
     {
-        // The hierarchy's write path invalidates peer copies through the
-        // coherence model (MESI-style); standalone hierarchies time in
-        // isolation.  The directory model's snoop filter is wired to the
-        // sharer index inside attachCoherence, and its forced filter
-        // evictions drop live copies through backInvalidateLine.
-        caches_.attachCoherence(coherence_.get());
-        coherence_->attachBackInvalidator([this](Addr line, Cycles now) {
-            return caches_.backInvalidateLine(line, now);
-        });
+        wireCoherence();
         for (unsigned i = 0; i < cfg.numCores; ++i)
             tlbs_.emplace_back(cfg.tlbEntries);
         // Identity-map the persistent heap up front.  Consolidation may
@@ -60,6 +52,24 @@ class Machine
         for (std::uint64_t vpn = 0; vpn < cfg.heapPages; ++vpn)
             pt_.map(vpn, vpn);
     }
+
+    /**
+     * A copy of @p other's full simulated state — memory image, bus
+     * timing, caches and sharer index, page table, coherence model,
+     * conflict log, TLBs and clocks — with every internal link pointed
+     * at the copy's own members.
+     */
+    Machine(const Machine &other)
+        : cfg_(other.cfg_), mem_(other.mem_), bus_(other.bus_, mem_),
+          caches_(other.caches_, bus_), pt_(other.pt_),
+          coherence_(other.coherence_->clone()),
+          conflicts_(other.conflicts_), tlbs_(other.tlbs_),
+          clocks_(other.clocks_)
+    {
+        wireCoherence();
+    }
+
+    Machine &operator=(const Machine &) = delete;
 
     const SspConfig &cfg() const { return cfg_; }
     PhysMem &mem() { return mem_; }
@@ -138,6 +148,22 @@ class Machine
     }
 
   private:
+    /**
+     * The hierarchy's write path invalidates peer copies through the
+     * coherence model (MESI-style); standalone hierarchies time in
+     * isolation.  The directory model's snoop filter is wired to the
+     * sharer index inside attachCoherence, and its forced filter
+     * evictions drop live copies through backInvalidateLine.
+     */
+    void
+    wireCoherence()
+    {
+        caches_.attachCoherence(coherence_.get());
+        coherence_->attachBackInvalidator([this](Addr line, Cycles now) {
+            return caches_.backInvalidateLine(line, now);
+        });
+    }
+
     SspConfig cfg_;
     PhysMem mem_;
     MemoryBus bus_;

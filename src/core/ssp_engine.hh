@@ -55,6 +55,16 @@ class SspEngine
   public:
     SspEngine(CoreId core, Machine &machine, MemController &mc);
 
+    /** Copy of @p other's per-core state, driving @p machine and @p mc. */
+    SspEngine(const SspEngine &other, Machine &machine, MemController &mc)
+        : SspEngine(other)
+    {
+        machine_ = &machine;
+        mc_ = &mc;
+    }
+
+    SspEngine &operator=(const SspEngine &) = delete;
+
     /** ATOMIC_BEGIN (full memory barrier; assigns the TID). */
     void begin();
 
@@ -78,6 +88,8 @@ class SspEngine
     void reset();
 
   private:
+    SspEngine(const SspEngine &) = default;
+
     /** Translate @p vpn, filling the TLB on a miss. */
     Translation translate(Vpn vpn);
 
@@ -92,8 +104,8 @@ class SspEngine
                          unsigned li) const;
 
     CoreId core_;
-    Machine &machine_;
-    MemController &mc_;
+    Machine *machine_;
+    MemController *mc_;
     WriteSetBuffer writeSet_;
     /** Commit-time scratch: the write-set line addresses, flushed
      *  before their TX bits clear.  Member so the allocation amortizes

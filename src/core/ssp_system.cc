@@ -49,6 +49,23 @@ SspSystem::SspSystem(const SspConfig &cfg)
         engines_.push_back(std::make_unique<SspEngine>(c, *machine_, *mc_));
 }
 
+SspSystem::SspSystem(const SspSystem &other)
+    : machine_(std::make_unique<Machine>(*other.machine_)),
+      mc_(std::make_unique<MemController>(*other.mc_, machine_->bus(),
+                                          machine_->pt())),
+      charz_(other.charz_)
+{
+    for (const auto &eng : other.engines_)
+        engines_.push_back(
+            std::make_unique<SspEngine>(*eng, *machine_, *mc_));
+}
+
+std::unique_ptr<AtomicityBackend>
+SspSystem::clone() const
+{
+    return std::unique_ptr<AtomicityBackend>(new SspSystem(*this));
+}
+
 void
 SspSystem::mapHeapPage(Vpn vpn, Ppn ppn)
 {

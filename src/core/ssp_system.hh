@@ -29,10 +29,13 @@ class SspSystem : public AtomicityBackend
   public:
     explicit SspSystem(const SspConfig &cfg);
 
+    SspSystem &operator=(const SspSystem &) = delete;
+
     /** Map a persistent virtual page (identity-mapped heap setup). */
     void mapHeapPage(Vpn vpn, Ppn ppn);
 
     // AtomicityBackend ----------------------------------------------------
+    std::unique_ptr<AtomicityBackend> clone() const override;
     const char *name() const override { return "SSP"; }
     void begin(CoreId core) override;
     void commit(CoreId core) override;
@@ -66,6 +69,8 @@ class SspSystem : public AtomicityBackend
     Addr committedLocation(Addr vaddr);
 
   private:
+    SspSystem(const SspSystem &other);
+
     std::unique_ptr<Machine> machine_;
     std::unique_ptr<MemController> mc_;
     std::vector<std::unique_ptr<SspEngine>> engines_;

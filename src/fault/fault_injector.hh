@@ -51,6 +51,8 @@ struct FaultStats
     std::uint64_t messagesLost = 0;    ///< network drops (sendReliable)
     std::uint64_t rpcRetries = 0;      ///< retransmissions after timeout
     Cycles rpcTimeoutStallCycles = 0;  ///< timeout waits (net + votes)
+
+    bool operator==(const FaultStats &) const = default;
 };
 
 /** One cell's fault harness (see file comment). */

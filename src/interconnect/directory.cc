@@ -18,6 +18,14 @@ DirectoryCoherence::DirectoryCoherence(unsigned num_cores,
 {
 }
 
+std::unique_ptr<CoherenceModel>
+DirectoryCoherence::clone() const
+{
+    auto copy = std::make_unique<DirectoryCoherence>(*this);
+    copy->backInvalidate_ = nullptr;
+    return copy;
+}
+
 Cycles
 DirectoryCoherence::transact(CoreId sender, Addr line,
                              const CoreBitmap &peers, Cycles now)

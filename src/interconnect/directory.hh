@@ -47,6 +47,7 @@ class DirectoryCoherence final : public CoherenceModel,
     DirectoryCoherence(unsigned num_cores, const CoherenceParams &params);
 
     // ---- CoherenceModel ------------------------------------------------
+    std::unique_ptr<CoherenceModel> clone() const override;
     Cycles flipCurrentBit(CoreId sender, Addr line, const CoreBitmap &peers,
                           Cycles now) override;
     Cycles invalidate(CoreId sender, Addr line, const CoreBitmap &peers,
@@ -98,6 +99,17 @@ class DirectoryCoherence final : public CoherenceModel,
     {
         std::list<Addr> lru;
         std::unordered_map<Addr, std::list<Addr>::iterator> map;
+
+        TileFilter() = default;
+        TileFilter(TileFilter &&) = default;
+        /** A copy whose map points into its own list.  The map is
+         *  copied, not rebuilt, so its bucket layout — and with it any
+         *  iteration order — matches @p other's. */
+        TileFilter(const TileFilter &other) : lru(other.lru), map(other.map)
+        {
+            for (auto it = lru.begin(); it != lru.end(); ++it)
+                map.find(*it)->second = it;
+        }
     };
 
     /**

@@ -31,7 +31,7 @@ writeCategoryName(WriteCategory cat)
 }
 
 MemoryBus::MemoryBus(PhysMem &mem, const MemSystemParams &params)
-    : mem_(mem),
+    : mem_(&mem),
       dram_(params.dram, params.dramChannels, params.interleave),
       nvram_(params.nvram, params.nvramChannels, params.interleave)
 {
@@ -47,7 +47,7 @@ MemoryBus::MemoryBus(PhysMem &mem, const MemTimingParams &dram_params,
 Cycles
 MemoryBus::issueRead(Addr line_addr, Cycles now)
 {
-    if (mem_.isNvramAddr(line_addr)) {
+    if (mem_->isNvramAddr(line_addr)) {
         ++nvramReads_;
         return nvram_.access(line_addr, false, now);
     }
@@ -59,7 +59,7 @@ Cycles
 MemoryBus::issueWrite(Addr line_addr, WriteCategory cat, Cycles now,
                       bool background)
 {
-    if (mem_.isNvramAddr(line_addr)) {
+    if (mem_->isNvramAddr(line_addr)) {
         ++nvramWriteCount_[static_cast<unsigned>(cat)];
         return nvram_.access(line_addr, true, now, background);
     }

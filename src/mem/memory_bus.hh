@@ -60,6 +60,14 @@ class MemoryBus
     MemoryBus(PhysMem &mem, const MemTimingParams &dram_params,
               const MemTimingParams &nvram_params);
 
+    /** Copy of @p other's timing state and counters over @p mem. */
+    MemoryBus(const MemoryBus &other, PhysMem &mem) : MemoryBus(other)
+    {
+        mem_ = &mem;
+    }
+
+    MemoryBus &operator=(const MemoryBus &) = delete;
+
     /** Issue a line read; returns completion time. */
     Cycles issueRead(Addr line_addr, Cycles now);
 
@@ -91,7 +99,7 @@ class MemoryBus
     MemChannelGroup &nvramGroup() { return nvram_; }
     const MemChannelGroup &dramGroup() const { return dram_; }
     const MemChannelGroup &nvramGroup() const { return nvram_; }
-    PhysMem &mem() { return mem_; }
+    PhysMem &mem() { return *mem_; }
 
     /** Zero all traffic counters (timing state is kept). */
     void resetStats();
@@ -100,7 +108,9 @@ class MemoryBus
     void resetTiming();
 
   private:
-    PhysMem &mem_;
+    MemoryBus(const MemoryBus &) = default;
+
+    PhysMem *mem_;
     MemChannelGroup dram_;
     MemChannelGroup nvram_;
     std::array<std::uint64_t,

@@ -12,6 +12,16 @@ PhysMem::PhysMem(std::uint64_t nvram_pages, std::uint64_t dram_pages)
     pages_.resize(totalPages());
 }
 
+PhysMem::PhysMem(const PhysMem &other)
+    : nvramPages_(other.nvramPages_), dramPages_(other.dramPages_)
+{
+    pages_.resize(totalPages());
+    for (Ppn ppn = 0; ppn < totalPages(); ++ppn) {
+        if (const std::uint8_t *page = other.pages_[ppn].get())
+            std::memcpy(allocPage(ppn), page, kPageSize);
+    }
+}
+
 std::uint8_t *
 PhysMem::allocPage(Ppn ppn)
 {

@@ -41,6 +41,10 @@ class PhysMem
      */
     PhysMem(std::uint64_t nvram_pages, std::uint64_t dram_pages);
 
+    /** A deep copy: every backed page, NVRAM and DRAM. */
+    PhysMem(const PhysMem &other);
+    PhysMem &operator=(const PhysMem &) = delete;
+
     /**
      * Read @p size bytes at physical address @p addr into @p buf.
      * The page-local case is inlined: every simulated load lands here,

@@ -50,6 +50,8 @@ struct MemTimingParams
     Cycles readHitLatency() const;
     /** Derived: latency of a row-buffer hit for writes. */
     Cycles writeHitLatency() const;
+
+    bool operator==(const MemTimingParams &) const = default;
 };
 
 /**

@@ -8,7 +8,8 @@ namespace ssp
 Consolidator::Consolidator(SspCache &cache, MetadataJournal &journal,
                            PageTable &pt, MemoryBus &bus, FreePagePool &pool,
                            unsigned sub_page_lines)
-    : cache_(cache), journal_(journal), pt_(pt), bus_(bus), pool_(pool),
+    : cache_(&cache), journal_(&journal), pt_(&pt), bus_(&bus),
+      pool_(&pool),
       subPageLines_(sub_page_lines)
 {
 }
@@ -16,7 +17,7 @@ Consolidator::Consolidator(SspCache &cache, MetadataJournal &journal,
 ConsolidationResult
 Consolidator::consolidate(SlotId sid, Cycles now)
 {
-    SspCacheEntry &e = cache_.entry(sid);
+    SspCacheEntry &e = cache_->entry(sid);
     ssp_assert(e.valid, "consolidating an invalid slot");
     ssp_assert(e.tlbRefCount == 0, "consolidating a TLB-referenced page");
     ssp_assert(e.coreRefCount == 0, "consolidating a page with an "
@@ -31,7 +32,7 @@ Consolidator::consolidate(SlotId sid, Cycles now)
     res.sid = sid;
     e.consolidating = true;
 
-    PhysMem &mem = bus_.mem();
+    PhysMem &mem = bus_->mem();
     const unsigned num_bits =
         static_cast<unsigned>(kLinesPerPage / subPageLines_);
     const unsigned in_p1 = e.committed.popcount();
@@ -56,7 +57,7 @@ Consolidator::consolidate(SlotId sid, Cycles now)
             for (unsigned g = bit * subPageLines_;
                  g < (bit + 1) * subPageLines_; ++g) {
                 mem.copyLine(lineAddr(e.ppn0, g), lineAddr(e.ppn1, g));
-                Cycles t = bus_.issueWrite(lineAddr(e.ppn0, g),
+                Cycles t = bus_->issueWrite(lineAddr(e.ppn0, g),
                                            WriteCategory::Consolidation,
                                            now, true);
                 done = std::max(done, t);
@@ -72,7 +73,7 @@ Consolidator::consolidate(SlotId sid, Cycles now)
             for (unsigned g = bit * subPageLines_;
                  g < (bit + 1) * subPageLines_; ++g) {
                 mem.copyLine(lineAddr(e.ppn1, g), lineAddr(e.ppn0, g));
-                Cycles t = bus_.issueWrite(lineAddr(e.ppn1, g),
+                Cycles t = bus_->issueWrite(lineAddr(e.ppn1, g),
                                            WriteCategory::Consolidation,
                                            now, true);
                 done = std::max(done, t);
@@ -98,10 +99,10 @@ Consolidator::consolidate(SlotId sid, Cycles now)
     rec.ppn0 = e.ppn0;
     rec.ppn1 = e.ppn1;
     rec.committed = e.committed;
-    journal_.append(rec, done);
+    journal_->append(rec, done);
 
     // OS page-table update (reads after this walk straight to P0).
-    pt_.map(e.vpn, e.ppn0);
+    pt_->map(e.vpn, e.ppn0);
 
     e.consolidating = false;
     res.doneAt = done;

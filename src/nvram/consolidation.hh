@@ -56,6 +56,21 @@ class Consolidator
                  MemoryBus &bus, FreePagePool &pool,
                  unsigned sub_page_lines = 1);
 
+    /** Copy of @p other's counters, working on the given components. */
+    Consolidator(const Consolidator &other, SspCache &cache,
+                 MetadataJournal &journal, PageTable &pt, MemoryBus &bus,
+                 FreePagePool &pool)
+        : Consolidator(other)
+    {
+        cache_ = &cache;
+        journal_ = &journal;
+        pt_ = &pt;
+        bus_ = &bus;
+        pool_ = &pool;
+    }
+
+    Consolidator &operator=(const Consolidator &) = delete;
+
     /**
      * Consolidate slot @p sid now (the eager policy the paper
      * implements).  @pre the slot's TLB and core reference counts are 0.
@@ -66,11 +81,13 @@ class Consolidator
     const StatSummary &copiedLines() const { return copiedLines_; }
 
   private:
-    SspCache &cache_;
-    MetadataJournal &journal_;
-    PageTable &pt_;
-    MemoryBus &bus_;
-    FreePagePool &pool_;
+    Consolidator(const Consolidator &) = default;
+
+    SspCache *cache_;
+    MetadataJournal *journal_;
+    PageTable *pt_;
+    MemoryBus *bus_;
+    FreePagePool *pool_;
     unsigned subPageLines_;
     std::uint64_t consolidations_ = 0;
     StatSummary copiedLines_;

@@ -25,7 +25,7 @@ JournalRecord::sizeBytes() const
 MetadataJournal::MetadataJournal(MemoryBus &bus, Addr base_addr,
                                  std::uint64_t capacity_bytes,
                                  std::uint64_t checkpoint_threshold)
-    : bus_(bus), baseAddr_(base_addr), capacityBytes_(capacity_bytes),
+    : bus_(&bus), baseAddr_(base_addr), capacityBytes_(capacity_bytes),
       checkpointThreshold_(checkpoint_threshold)
 {
     ssp_assert(capacity_bytes >= 4 * kLineSize);
@@ -69,7 +69,7 @@ MetadataJournal::persistUpTo(std::uint64_t upto, Cycles now,
     Cycles done = now;
     bool wrote = false;
     for (std::uint64_t line = countedLines_; line < last_line; ++line) {
-        Cycles t = bus_.issueWrite(baseAddr_ + line * kLineSize,
+        Cycles t = bus_->issueWrite(baseAddr_ + line * kLineSize,
                                    WriteCategory::MetaJournal, now,
                                    !force_partial);
         ++lineWrites_;

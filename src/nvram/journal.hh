@@ -88,6 +88,15 @@ class MetadataJournal
                     std::uint64_t capacity_bytes,
                     std::uint64_t checkpoint_threshold);
 
+    /** Copy of @p other's records and cursors, writing through @p bus. */
+    MetadataJournal(const MetadataJournal &other, MemoryBus &bus)
+        : MetadataJournal(other)
+    {
+        bus_ = &bus;
+    }
+
+    MetadataJournal &operator=(const MetadataJournal &) = delete;
+
     /** Append a record to the log buffer (volatile until flushed).
      *  Full log-buffer lines are streamed to NVRAM as they fill. */
     void append(const JournalRecord &rec, Cycles now);
@@ -126,10 +135,12 @@ class MetadataJournal
     std::uint64_t lineWrites() const { return lineWrites_; }
 
   private:
+    MetadataJournal(const MetadataJournal &) = default;
+
     /** Persist whole lines up to byte offset @p upto. */
     Cycles persistUpTo(std::uint64_t upto, Cycles now, bool force_partial);
 
-    MemoryBus &bus_;
+    MemoryBus *bus_;
     Addr baseAddr_;
     std::uint64_t capacityBytes_;
     std::uint64_t checkpointThreshold_;

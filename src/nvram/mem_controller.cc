@@ -26,6 +26,20 @@ MemController::MemController(const MemControllerParams &params,
     }
 }
 
+MemController::MemController(const MemController &other, MemoryBus &bus,
+                             PageTable &pt)
+    : params_(other.params_), bus_(bus), pt_(pt), cache_(other.cache_),
+      journal_(other.journal_, bus), pool_(other.pool_),
+      consolidator_(other.consolidator_, cache_, journal_, pt, bus, pool_),
+      nextTid_(other.nextTid_), checkpoints_(other.checkpoints_),
+      metadataUpdates_(other.metadataUpdates_),
+      canceledConsolidations_(other.canceledConsolidations_),
+      wearRotations_(other.wearRotations_), quarantine_(other.quarantine_),
+      pending_(other.pending_), pendingSet_(other.pendingSet_),
+      consolidateDoneAt_(other.consolidateDoneAt_)
+{
+}
+
 MetadataFetchResult
 MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
 {

@@ -86,6 +86,17 @@ class MemController
                   PageTable &pt);
 
     /**
+     * Copy of @p other's full state — SSP cache, journal, page pool,
+     * consolidator, quarantine and lazy queue — working on @p bus and
+     * @p pt (the copied machine's).
+     */
+    MemController(const MemController &other, MemoryBus &bus,
+                  PageTable &pt);
+
+    MemController(const MemController &) = delete;
+    MemController &operator=(const MemController &) = delete;
+
+    /**
      * TLB-fill path: after the page walk produced @p ppn0, fetch (or
      * create) the SSP metadata for @p vpn and take a TLB reference.
      * A page mid-consolidation delays the response until the copy

@@ -16,6 +16,18 @@ SspCache::SspCache(unsigned num_slots, const SspCacheLatencyParams &latency)
         freeSlots_.push_back(num_slots - 1 - i); // allocate low slots first
 }
 
+SspCache::SspCache(const SspCache &other)
+    : latency_(other.latency_), slots_(other.slots_),
+      persistent_(other.persistent_), byVpn_(other.byVpn_),
+      freeSlots_(other.freeSlots_), hotLru_(other.hotLru_),
+      hotIndex_(other.hotIndex_), hotHits_(other.hotHits_),
+      hotMisses_(other.hotMisses_)
+{
+    // Copied, not rebuilt, so the index's bucket layout matches.
+    for (auto it = hotLru_.begin(); it != hotLru_.end(); ++it)
+        hotIndex_.find(*it)->second = it;
+}
+
 SlotId
 SspCache::findSlot(Vpn vpn) const
 {

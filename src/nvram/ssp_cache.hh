@@ -74,6 +74,8 @@ struct SspCacheLatencyParams
     Cycles missLatency = 185;
     /** When non-zero, every access costs exactly this (Figure 9 sweep). */
     Cycles fixedLatency = 0;
+
+    bool operator==(const SspCacheLatencyParams &) const = default;
 };
 
 /**
@@ -88,6 +90,11 @@ class SspCache
      * @param latency Latency model parameters.
      */
     SspCache(unsigned num_slots, const SspCacheLatencyParams &latency);
+
+    /** A copy of both halves and the hot-set LRU order, its index
+     *  pointing into the copy's own list. */
+    SspCache(const SspCache &other);
+    SspCache &operator=(const SspCache &) = delete;
 
     /** Look up the slot for @p vpn; kInvalidSlot if absent. */
     SlotId findSlot(Vpn vpn) const;

@@ -48,23 +48,21 @@ nextDispatch(const Machine &machine, const Queues &queues)
 
 } // namespace
 
-RunResult
-runServeExperiment(Experiment &exp, std::uint64_t num_requests,
-                   unsigned num_cores, const ServeParams &params)
+Calibration
+calibrateServe(Experiment &exp, std::uint64_t num_requests,
+               unsigned num_cores)
 {
     Machine &machine = exp.backend->machine();
     ssp_assert(num_requests > 0, "serve run needs at least one request");
     ssp_assert(num_cores >= 1 && num_cores <= machine.cfg().numCores,
                "serve run uses more cores than the machine has");
-    ssp_assert(params.offeredLoad > 0, "offered load must be positive");
-    ssp_assert(params.queueDepth > 0, "queue depth must be positive");
 
-    // Calibrate: measure closed-loop capacity (cycles per transaction at
-    // this core count) so the offered load can be expressed as a factor
-    // of what the cell can actually sustain.  Every core always has a
-    // request waiting, so the dispatch picks the lowest clock.  The
-    // calibration phase also warms caches/TLBs, like the setup phase
-    // does for closed-loop runs.
+    // Measure closed-loop capacity (cycles per transaction at this core
+    // count) so the offered load can be expressed as a factor of what
+    // the cell can actually sustain.  Every core always has a request
+    // waiting, so the dispatch picks the lowest clock.  The calibration
+    // phase also warms caches/TLBs, like the setup phase does for
+    // closed-loop runs.
     machine.syncClocks();
     const RunResult calib_start = readCounters(exp);
     const Queues backlog(num_cores, std::deque<Cycles>{0});
@@ -75,6 +73,18 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     const RunResult calib = counterDelta(readCounters(exp), calib_start);
     ssp_assert(calib.committedTxs > 0 && calib.cycles > 0,
                "calibration phase measured no throughput");
+    return {num_cores, calib.cycles, calib.committedTxs};
+}
+
+RunResult
+serveCalibrated(Experiment &exp, std::uint64_t num_requests,
+                const Calibration &calib, const ServeParams &params)
+{
+    Machine &machine = exp.backend->machine();
+    const unsigned num_cores = calib.cores;
+    ssp_assert(num_requests > 0, "serve run needs at least one request");
+    ssp_assert(params.offeredLoad > 0, "offered load must be positive");
+    ssp_assert(params.queueDepth > 0, "queue depth must be positive");
     const double mean_interval =
         static_cast<double>(calib.cycles) /
         (static_cast<double>(calib.committedTxs) * params.offeredLoad);
@@ -163,6 +173,15 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     res.meanQueueDepth =
         elapsed == 0 ? 0 : depth_area / static_cast<double>(elapsed);
     return res;
+}
+
+RunResult
+runServeExperiment(Experiment &exp, std::uint64_t num_requests,
+                   unsigned num_cores, const ServeParams &params)
+{
+    return serveCalibrated(exp, num_requests,
+                           calibrateServe(exp, num_requests, num_cores),
+                           params);
 }
 
 } // namespace ssp::serve

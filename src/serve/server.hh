@@ -59,6 +59,31 @@ struct ServeParams
 RunResult runServeExperiment(Experiment &exp, std::uint64_t num_requests,
                              unsigned num_cores, const ServeParams &params);
 
+/** The closed-loop capacity a serve run's calibration phase measured. */
+struct Calibration
+{
+    unsigned cores = 0;        ///< cores the calibration ran on
+    Cycles cycles = 0;         ///< wall cycles of the calibration phase
+    std::uint64_t committedTxs = 0;
+};
+
+/**
+ * runServeExperiment's first half: run the calibration phase of a
+ * @p num_requests-request serve run on @p num_cores cores and return
+ * the capacity it measured.  It reads nothing of ServeParams, so one
+ * calibrated state can serve every offered load and arrival stream.
+ */
+Calibration calibrateServe(Experiment &exp, std::uint64_t num_requests,
+                           unsigned num_cores);
+
+/**
+ * runServeExperiment's second half: serve @p num_requests requests on
+ * the cores @p calib ran on, against the capacity it measured.
+ */
+RunResult serveCalibrated(Experiment &exp, std::uint64_t num_requests,
+                          const Calibration &calib,
+                          const ServeParams &params);
+
 } // namespace ssp::serve
 
 #endif // SSP_SERVE_SERVER_HH

@@ -35,6 +35,14 @@ Cluster::shardSeed(std::uint64_t base_seed, unsigned machine)
                                  (kShardSeedOrdinalBase + machine));
 }
 
+WorkloadScale
+Cluster::shardScale(const WorkloadScale &scale, unsigned machine)
+{
+    WorkloadScale shard_scale = scale;
+    shard_scale.seed = shardSeed(scale.seed, machine);
+    return shard_scale;
+}
+
 Cluster::Cluster(BackendKind backend_kind, WorkloadKind workload_kind,
                  const SspConfig &cfg, const WorkloadScale &scale,
                  unsigned machines, const NetworkParams &net)
@@ -43,11 +51,27 @@ Cluster::Cluster(BackendKind backend_kind, WorkloadKind workload_kind,
     ssp_assert(machines >= 1, "a cluster needs at least one machine");
     shards_.reserve(machines);
     for (unsigned m = 0; m < machines; ++m) {
-        WorkloadScale shard_scale = scale;
-        shard_scale.seed = shardSeed(scale.seed, m);
-        shards_.push_back(buildExperiment(backend_kind, workload_kind,
-                                          cfg, shard_scale));
+        shards_.push_back(buildExperiment(backend_kind, workload_kind, cfg,
+                                          shardScale(scale, m)));
     }
+}
+
+Cluster::Cluster(std::vector<Experiment> shards, const NetworkParams &net)
+    : shards_(std::move(shards)), net_(net)
+{
+    ssp_assert(!shards_.empty(), "a cluster needs at least one machine");
+}
+
+Cluster
+Cluster::clone() const
+{
+    std::vector<Experiment> shards;
+    shards.reserve(shards_.size());
+    for (const Experiment &e : shards_)
+        shards.push_back(e.clone());
+    Cluster copy(std::move(shards), net_.params());
+    copy.net_ = net_;
+    return copy;
 }
 
 unsigned

@@ -40,6 +40,20 @@ class Cluster
             const SspConfig &cfg, const WorkloadScale &scale,
             unsigned machines, const NetworkParams &net = {});
 
+    /**
+     * A cluster over ready-built @p shards: shard m must have been
+     * built with shardScale(scale, m), exactly as the constructor above
+     * builds it.
+     */
+    explicit Cluster(std::vector<Experiment> shards,
+                     const NetworkParams &net = {});
+
+    /** An independent copy of every shard and of the network state. */
+    Cluster clone() const;
+
+    Cluster(Cluster &&) = default;
+    Cluster &operator=(Cluster &&) = default;
+
     unsigned machines() const
     {
         return static_cast<unsigned>(shards_.size());
@@ -73,6 +87,10 @@ class Cluster
      */
     static std::uint64_t shardSeed(std::uint64_t base_seed,
                                    unsigned machine);
+
+    /** @p scale as shard @p machine runs it: seeded by shardSeed. */
+    static WorkloadScale shardScale(const WorkloadScale &scale,
+                                    unsigned machine);
 
   private:
     std::vector<Experiment> shards_;

@@ -123,6 +123,8 @@ struct ShardTxStats
     std::uint64_t prepareRoundTrips = 0;///< prepare/vote rounds completed
     std::uint64_t crossShardAborts = 0; ///< global aborts (any shard)
     Cycles coordinatorStallCycles = 0;  ///< decision waits on the vote
+
+    bool operator==(const ShardTxStats &) const = default;
 };
 
 /** Drives single- and cross-shard transactions over a Cluster. */

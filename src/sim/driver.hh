@@ -93,6 +93,9 @@ struct RunResult
     double offeredLoad = 0;          ///< factor of closed-loop capacity
     /** @} */
 
+    /** Field by field: two runs that measured exactly the same. */
+    bool operator==(const RunResult &) const = default;
+
     /** Transactions per second at the simulated core frequency. */
     double tps() const;
 

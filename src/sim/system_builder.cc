@@ -6,8 +6,18 @@ namespace ssp
 {
 
 Experiment
-buildExperiment(BackendKind backend_kind, WorkloadKind workload_kind,
-                const SspConfig &cfg, const WorkloadScale &scale)
+Experiment::clone() const
+{
+    Experiment copy;
+    copy.backend = backend->clone();
+    copy.alloc = std::make_unique<PersistAlloc>(*alloc);
+    copy.workload = workload->clone(*copy.backend, *copy.alloc);
+    return copy;
+}
+
+Experiment
+makeExperiment(BackendKind backend_kind, WorkloadKind workload_kind,
+               const SspConfig &cfg, const WorkloadScale &scale)
 {
     Experiment exp;
     exp.backend = makeBackend(backend_kind, cfg);
@@ -17,6 +27,14 @@ buildExperiment(BackendKind backend_kind, WorkloadKind workload_kind,
         cfg.heapPages * kPageSize);
     exp.workload =
         makeWorkload(workload_kind, *exp.backend, *exp.alloc, scale);
+    return exp;
+}
+
+Experiment
+buildExperiment(BackendKind backend_kind, WorkloadKind workload_kind,
+                const SspConfig &cfg, const WorkloadScale &scale)
+{
+    Experiment exp = makeExperiment(backend_kind, workload_kind, cfg, scale);
     exp.workload->setup();
     return exp;
 }

@@ -24,10 +24,23 @@ struct Experiment
     std::unique_ptr<AtomicityBackend> backend;
     std::unique_ptr<PersistAlloc> alloc;
     std::unique_ptr<Workload> workload;
+
+    /**
+     * An independent copy of the whole experiment: running the copy
+     * gives bit for bit the results running this one would.
+     */
+    Experiment clone() const;
 };
 
 /**
- * Construct backend + allocator + workload and run Workload::setup().
+ * Construct backend + allocator + workload, without running setup.
+ */
+Experiment makeExperiment(BackendKind backend_kind,
+                          WorkloadKind workload_kind, const SspConfig &cfg,
+                          const WorkloadScale &scale);
+
+/**
+ * makeExperiment(), then Workload::setup().
  */
 Experiment buildExperiment(BackendKind backend_kind,
                            WorkloadKind workload_kind, const SspConfig &cfg,

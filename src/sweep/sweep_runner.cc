@@ -8,6 +8,8 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "serve/server.hh"
@@ -25,81 +27,238 @@ constexpr std::uint64_t kArrivalSeedOrdinal = 101;
 /** Ordinal separating a shard cell's routing stream from its keys. */
 constexpr std::uint64_t kRouteSeedOrdinal = 211;
 
-CellResult
-runOneCell(const SweepCell &cell)
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point start)
 {
-    CellResult res;
-    res.cell = cell;
-    const auto host_start = std::chrono::steady_clock::now();
-    try {
-        // Fault-armed cells always go through the cluster driver, even
-        // with one machine, so scheduled failures have slot boundaries
-        // to fire at.  Unarmed cells keep their historical paths.
-        const bool faulty = cell.faultRate > 0 || cell.replicate;
-        if (cell.machines > 1 || faulty) {
-            // Cluster cell: each machine gets its own Experiment (own
-            // seed stream, see Cluster::shardSeed) and the routing
-            // stream deciding which slots go cross-shard draws from a
-            // third, independent stream.
-            shard::Cluster cluster(cell.backend, cell.workload,
-                                   cell.config(), cell.scale,
-                                   cell.machines);
-            std::unique_ptr<fault::FaultInjector> inj;
-            if (faulty) {
-                fault::FaultParams fp;
-                fp.ratePerMcycle = cell.faultRate;
-                fp.replicate = cell.replicate;
-                fp.seed = deriveCellSeed(cell.scale.seed,
-                                         fault::kFaultSeedOrdinal);
-                inj = std::make_unique<fault::FaultInjector>(
-                    cluster, fp,
-                    deriveCellSeed(cell.scale.seed,
-                                   fault::kNetFaultSeedOrdinal),
-                    cell.crossShardFraction);
-            }
-            shard::ShardRunResult sr = shard::runClusterExperiment(
-                cluster, cell.txs, cell.cores, cell.crossShardFraction,
-                deriveCellSeed(cell.scale.seed, kRouteSeedOrdinal),
-                inj.get());
-            res.run = std::move(sr.aggregate);
-            res.shardRuns = std::move(sr.shards);
-            res.shardTx = sr.tx;
-            res.networkMessages = sr.networkMessages;
-            res.networkCycles = sr.networkCycles;
-            if (inj != nullptr)
-                res.faultStats = inj->stats();
-            res.ok = true;
-            res.hostMillis =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - host_start)
-                    .count();
-            return res;
-        }
-        Experiment exp = buildExperiment(cell.backend, cell.workload,
-                                         cell.config(), cell.scale);
-        if (cell.offeredLoad > 0) {
-            // Open-loop cell: txs counts generated requests, and the
-            // arrival process draws from its own stream so the key
-            // stream stays identical to the closed-loop cells'.
-            serve::ServeParams params;
-            params.arrival = cell.arrival;
-            params.offeredLoad = cell.offeredLoad;
-            params.seed =
-                deriveCellSeed(cell.scale.seed, kArrivalSeedOrdinal);
-            res.run = serve::runServeExperiment(exp, cell.txs,
-                                                cell.cores, params);
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
+
+/**
+ * Fault-armed cells always go through the cluster driver, even with one
+ * machine, so scheduled failures have slot boundaries to fire at.
+ * Unarmed cells keep their historical paths.
+ */
+bool
+runsOnCluster(const SweepCell &cell)
+{
+    return cell.machines > 1 || cell.faultRate > 0 || cell.replicate;
+}
+
+/** An open-loop cell: it serves after a calibration phase. */
+bool
+servesOpenLoop(const SweepCell &cell)
+{
+    return cell.offeredLoad > 0 && !runsOnCluster(cell);
+}
+
+/**
+ * Every input the state a cell starts its run from depends on: what
+ * buildExperiment and the Cluster constructor read, plus what an
+ * open-loop cell's calibration reads.  Cells with equal keys start
+ * from identical states, so they share one.  Config and scale compare
+ * whole (defaulted operator==), so a field added to either later can
+ * never alias two different setups.
+ */
+struct SetupKey
+{
+    BackendKind backend;
+    WorkloadKind workload;
+    SspConfig config;
+    WorkloadScale scale;
+    unsigned machines;
+    /** The calibration's core and request counts; 0 unless open-loop. */
+    unsigned calibrationCores;
+    std::uint64_t calibrationTxs;
+
+    bool operator==(const SetupKey &) const = default;
+};
+
+SetupKey
+setupKey(const SweepCell &cell)
+{
+    const bool serve = servesOpenLoop(cell);
+    return {.backend = cell.backend,
+            .workload = cell.workload,
+            .config = cell.config(),
+            .scale = cell.scale,
+            .machines = cell.machines,
+            .calibrationCores = serve ? cell.cores : 0u,
+            .calibrationTxs = serve ? cell.txs : 0};
+}
+
+/** Cell indices grouped by setup key, in order of first appearance. */
+std::vector<std::vector<std::size_t>>
+groupBySetup(const std::vector<SweepCell> &cells)
+{
+    std::vector<SetupKey> keys;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SetupKey key = setupKey(cells[i]);
+        const auto it = std::find(keys.begin(), keys.end(), key);
+        if (it != keys.end()) {
+            groups[static_cast<std::size_t>(it - keys.begin())].push_back(i);
         } else {
-            res.run = runExperiment(exp, cell.txs, cell.cores);
+            keys.push_back(std::move(key));
+            groups.push_back({i});
         }
-        res.ok = true;
-    } catch (const std::exception &e) {
-        res.error = e.what();
     }
-    res.hostMillis =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host_start)
-            .count();
-    return res;
+    return groups;
+}
+
+/**
+ * The state a setup group's cells start their runs from: the cluster
+ * they run on (one machine unless the cell runs on the cluster
+ * driver), plus an open-loop group's calibration.
+ */
+struct SetupState
+{
+    shard::Cluster cluster;
+    serve::Calibration calibration{};
+
+    SetupState
+    clone() const
+    {
+        return {cluster.clone(), calibration};
+    }
+};
+
+/**
+ * Build and set up @p cell's state, adding the host time of each phase
+ * to @p res (a calibration counts as setup: it is shared like one).
+ * Shard m is built exactly as the Cluster constructor builds it.
+ */
+SetupState
+buildState(const SweepCell &cell, CellResult &res)
+{
+    const SspConfig cfg = cell.config();
+    std::vector<Experiment> shards;
+    for (unsigned m = 0; m < cell.machines; ++m) {
+        const auto build_start = Clock::now();
+        Experiment exp =
+            makeExperiment(cell.backend, cell.workload, cfg,
+                           shard::Cluster::shardScale(cell.scale, m));
+        res.hostMillisBuild += msSince(build_start);
+        const auto setup_start = Clock::now();
+        exp.workload->setup();
+        res.hostMillisSetup += msSince(setup_start);
+        shards.push_back(std::move(exp));
+    }
+    SetupState state{shard::Cluster(std::move(shards))};
+    if (servesOpenLoop(cell)) {
+        const auto calib_start = Clock::now();
+        state.calibration = serve::calibrateServe(state.cluster.shard(0),
+                                                  cell.txs, cell.cores);
+        res.hostMillisSetup += msSince(calib_start);
+    }
+    return state;
+}
+
+/** Run @p cell from @p state, which is left as the run leaves it. */
+void
+runCell(const SweepCell &cell, SetupState &state, CellResult &res)
+{
+    const auto run_start = Clock::now();
+    if (runsOnCluster(cell)) {
+        // Cluster cell: each machine has its own Experiment (own seed
+        // stream, see Cluster::shardSeed) and the routing stream
+        // deciding which slots go cross-shard draws from a third,
+        // independent stream.
+        shard::Cluster &cluster = state.cluster;
+        std::unique_ptr<fault::FaultInjector> inj;
+        if (cell.faultRate > 0 || cell.replicate) {
+            fault::FaultParams fp;
+            fp.ratePerMcycle = cell.faultRate;
+            fp.replicate = cell.replicate;
+            fp.seed =
+                deriveCellSeed(cell.scale.seed, fault::kFaultSeedOrdinal);
+            inj = std::make_unique<fault::FaultInjector>(
+                cluster, fp,
+                deriveCellSeed(cell.scale.seed,
+                               fault::kNetFaultSeedOrdinal),
+                cell.crossShardFraction);
+        }
+        shard::ShardRunResult sr = shard::runClusterExperiment(
+            cluster, cell.txs, cell.cores, cell.crossShardFraction,
+            deriveCellSeed(cell.scale.seed, kRouteSeedOrdinal), inj.get());
+        res.run = std::move(sr.aggregate);
+        res.shardRuns = std::move(sr.shards);
+        res.shardTx = sr.tx;
+        res.networkMessages = sr.networkMessages;
+        res.networkCycles = sr.networkCycles;
+        if (inj != nullptr)
+            res.faultStats = inj->stats();
+    } else if (cell.offeredLoad > 0) {
+        // Open-loop cell: txs counts generated requests, and the
+        // arrival process draws from its own stream so the key stream
+        // stays identical to the closed-loop cells'.
+        serve::ServeParams params;
+        params.arrival = cell.arrival;
+        params.offeredLoad = cell.offeredLoad;
+        params.seed = deriveCellSeed(cell.scale.seed, kArrivalSeedOrdinal);
+        res.run = serve::serveCalibrated(state.cluster.shard(0), cell.txs,
+                                         state.calibration, params);
+    } else {
+        res.run = runExperiment(state.cluster.shard(0), cell.txs,
+                                cell.cores);
+    }
+    res.ok = true;
+    res.hostMillisRun = msSince(run_start);
+}
+
+/**
+ * Run one setup group: build its state once, run every cell but the
+ * last on a clone of it and the last on the original itself.  At most
+ * the original and one clone are alive at a time, and a group of one
+ * never clones.  The last cell, which consumes the original, carries
+ * the build and setup time; every other cell carries its clone time.
+ * A cell that throws is captured as !ok; a failed build fails every
+ * cell of the group.
+ */
+void
+runGroup(const std::vector<SweepCell> &cells,
+         const std::vector<std::size_t> &group,
+         std::vector<CellResult> &results,
+         const std::function<void(std::size_t)> &finished)
+{
+    for (std::size_t i : group)
+        results[i].cell = cells[i];
+    CellResult &owner = results[group.back()];
+    std::optional<SetupState> original;
+    std::string build_error;
+    const auto build_start = Clock::now();
+    try {
+        original.emplace(buildState(owner.cell, owner));
+    } catch (const std::exception &e) {
+        build_error = e.what();
+    }
+    owner.hostMillis = msSince(build_start);
+
+    for (std::size_t k = 0; k < group.size(); ++k) {
+        CellResult &res = results[group[k]];
+        const bool last = k + 1 == group.size();
+        const auto host_start = Clock::now();
+        try {
+            if (!original)
+                throw std::runtime_error(build_error);
+            if (last) {
+                runCell(res.cell, *original, res);
+            } else {
+                const auto clone_start = Clock::now();
+                SetupState copy = original->clone();
+                res.hostMillisClone = msSince(clone_start);
+                runCell(res.cell, copy, res);
+            }
+        } catch (const std::exception &e) {
+            res.error = e.what();
+        }
+        if (last)
+            original.reset();
+        res.hostMillis += msSince(host_start);
+        finished(group[k]);
+    }
 }
 
 } // namespace
@@ -109,29 +268,30 @@ runSweep(const std::vector<SweepCell> &cells, unsigned jobs,
          const CellCallback &on_cell)
 {
     std::vector<CellResult> results(cells.size());
-    if (cells.empty())
+    const std::vector<std::vector<std::size_t>> groups =
+        groupBySetup(cells);
+    if (groups.empty())
         return results;
 
     jobs = std::max(1u, jobs);
     jobs = static_cast<unsigned>(
-        std::min<std::size_t>(jobs, cells.size()));
+        std::min<std::size_t>(jobs, groups.size()));
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex cb_mutex;
+    auto finished = [&](std::size_t i) {
+        const std::size_t count = done.fetch_add(1) + 1;
+        if (on_cell) {
+            std::lock_guard<std::mutex> lock(cb_mutex);
+            on_cell(results[i], count, cells.size());
+        }
+    };
 
     auto worker = [&]() {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= cells.size())
-                return;
-            results[i] = runOneCell(cells[i]);
-            const std::size_t finished = done.fetch_add(1) + 1;
-            if (on_cell) {
-                std::lock_guard<std::mutex> lock(cb_mutex);
-                on_cell(results[i], finished, cells.size());
-            }
-        }
+        for (std::size_t g = next.fetch_add(1); g < groups.size();
+             g = next.fetch_add(1))
+            runGroup(cells, groups[g], results, finished);
     };
 
     if (jobs == 1) {
@@ -233,8 +393,13 @@ sweepReport(const std::string &figure,
         c.set("ok", Json::boolean(r.ok));
         // Host time is opt-in: it varies run to run, so it must never
         // leak into the byte-stable default reports.
-        if (include_host_time)
+        if (include_host_time) {
             c.set("host_ms", Json::number(r.hostMillis));
+            c.set("host_ms_build", Json::number(r.hostMillisBuild));
+            c.set("host_ms_setup", Json::number(r.hostMillisSetup));
+            c.set("host_ms_clone", Json::number(r.hostMillisClone));
+            c.set("host_ms_run", Json::number(r.hostMillisRun));
+        }
         if (!r.ok) {
             c.set("error", Json::str(r.error));
             cells.push(std::move(c));

@@ -43,12 +43,23 @@ struct CellResult
      *  (fault rate > 0 or replication on). */
     fault::FaultStats faultStats{};
     /**
-     * Host wall-clock time this cell took to build and run, in
-     * milliseconds.  Always measured (one steady_clock pair per cell);
-     * only serialized when the report asks for it, so the checked-in
-     * BENCH_*.json files stay byte-stable run to run.
+     * Host wall-clock time this cell took, in milliseconds: building
+     * and setting up its state (or cloning it, see runSweep), running,
+     * and tearing the state down.  Always measured (a few steady_clock
+     * pairs per cell); only serialized when the report asks for it, so
+     * the checked-in BENCH_*.json files stay byte-stable run to run.
      */
     double hostMillis = 0;
+    /** @{ hostMillis by phase.  The cell that built its setup group's
+     *  state carries the group's build (machine and workload
+     *  construction) and setup (Workload::setup plus a serve group's
+     *  calibration) time; every other cell of the group carries the
+     *  time it took to clone that state instead. */
+    double hostMillisBuild = 0;
+    double hostMillisSetup = 0;
+    double hostMillisClone = 0;
+    double hostMillisRun = 0;
+    /** @} */
 };
 
 /** Invoked after each cell completes: (result, done count, total). */
@@ -56,10 +67,21 @@ using CellCallback =
     std::function<void(const CellResult &, std::size_t, std::size_t)>;
 
 /**
- * Execute @p cells on @p jobs worker threads (clamped to >= 1).  Each
- * cell builds its own machine and workload and runs to completion
- * independently; a throwing cell is captured as !ok instead of taking
- * the sweep down.  The callback, when set, is serialized by a mutex.
+ * Execute @p cells on @p jobs worker threads (clamped to >= 1).
+ *
+ * Cells whose state before the run is built from identical inputs —
+ * backend, workload, the whole SspConfig and WorkloadScale, machine
+ * count, and for an open-loop cell its calibration's core and request
+ * counts — form one setup group, e.g. the load points of one queue
+ * cell or the fault rates of one fault cell.  A worker takes a whole
+ * group: it builds and sets up the state once, runs every cell but the
+ * last on a clone of it and the last on the original, so each worker
+ * holds at most one original and one clone.  A clone runs bit for bit
+ * like a fresh build, so results do not depend on the grouping.
+ *
+ * A throwing cell is captured as !ok instead of taking the sweep down
+ * (a failed build fails its whole group).  The callback, when set, is
+ * serialized by a mutex.
  */
 std::vector<CellResult> runSweep(const std::vector<SweepCell> &cells,
                                  unsigned jobs,
@@ -71,7 +93,9 @@ std::vector<CellResult> runSweep(const std::vector<SweepCell> &cells,
  * coordinates and the measured metrics.
  *
  * With @p include_host_time set, every cell carries its measured
- * "host_ms" and the document gains a "host_ms_total" — the
+ * "host_ms" and its phases ("host_ms_build", "host_ms_setup",
+ * "host_ms_clone", "host_ms_run"; see CellResult), and the document
+ * gains a "host_ms_total" — the
  * perf-trajectory data scripts/perf_compare.py consumes.  The default
  * leaves host times out so checked-in reports are byte-identical
  * across runs and machines.

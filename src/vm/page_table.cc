@@ -6,13 +6,17 @@ namespace ssp
 {
 
 PageTable::PageTable(Cycles walk_cycles, std::uint64_t dense_pages)
-    : walkCycles_(walk_cycles), densePages_(dense_pages)
+    : walkCycles_(walk_cycles), densePages_(dense_pages),
+      dense_(dense_pages)
 {
-    if (densePages_ > 0) {
-        dense_.reset(static_cast<std::uint64_t *>(
-            std::calloc(densePages_, sizeof(std::uint64_t))));
-        ssp_assert(dense_ != nullptr);
-    }
+}
+
+PageTable::PageTable(const PageTable &other)
+    : walkCycles_(other.walkCycles_), densePages_(other.densePages_),
+      dense_(other.densePages_), overflow_(other.overflow_),
+      size_(other.size_)
+{
+    dense_.copyRange(other.dense_, 0, densePages_);
 }
 
 void

@@ -10,7 +10,7 @@
  * re-derives the mapping of every *active* page from the SSP cache, so
  * the page-table update itself does not need to be ordered.
  *
- * Storage is a flat, calloc-backed dense array over the first
+ * Storage is a flat, zero-initialized dense array over the first
  * @p dense_pages VPNs (entries store ppn+1, so the all-zero reset state
  * means "unmapped") with an unordered_map spilling any VPN beyond it.
  * The machine sizes the dense range to cover the identity-mapped
@@ -21,10 +21,10 @@
 #define SSP_VM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace ssp
 {
@@ -42,6 +42,10 @@ class PageTable
      *        spills, the standalone-test configuration).
      */
     explicit PageTable(Cycles walk_cycles, std::uint64_t dense_pages = 0);
+
+    /** A deep copy: every mapping, dense and spilled. */
+    PageTable(const PageTable &other);
+    PageTable &operator=(const PageTable &) = delete;
 
     /** Install or replace a mapping. */
     void map(Vpn vpn, Ppn ppn);
@@ -86,9 +90,9 @@ class PageTable
   private:
     Cycles walkCycles_;
     std::uint64_t densePages_;
-    /** densePages_ entries of ppn+1 (0 = unmapped); calloc'd so the
-     *  untouched tail of a big heap costs address space only. */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> dense_;
+    /** densePages_ entries of ppn+1 (0 = unmapped); zeroed lazily so
+     *  the untouched tail of a big heap costs address space only. */
+    ZeroedArray<std::uint64_t> dense_;
     std::unordered_map<Vpn, Ppn> overflow_;
     std::uint64_t size_ = 0;
 };

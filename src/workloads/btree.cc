@@ -15,7 +15,7 @@ BTreeWorkload::BTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
 Addr
 BTreeWorkload::newNode(CoreId c, bool leaf)
 {
-    const Addr n = alloc_.allocate(kNodeSize, kLineSize);
+    const Addr n = alloc_->allocate(kNodeSize, kLineSize);
     heap_.store64(c, n + kIsLeafOff, leaf ? 1 : 0);
     heap_.store64(c, n + kCountOff, 0);
     heap_.store64(c, n + kNextOff, 0);
@@ -25,7 +25,7 @@ BTreeWorkload::newNode(CoreId c, bool leaf)
 void
 BTreeWorkload::setup()
 {
-    rootAddr_ = alloc_.allocate(sizeof(std::uint64_t), 8);
+    rootAddr_ = alloc_->allocate(sizeof(std::uint64_t), 8);
     const std::uint64_t zero = 0;
     backend().storeRaw(rootAddr_, &zero, sizeof(zero));
 

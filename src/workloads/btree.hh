@@ -33,6 +33,12 @@ class BTreeWorkload : public Workload
     BTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                   std::uint64_t key_space, KeyDist dist, std::uint64_t seed);
 
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<BTreeWorkload>(be, alloc);
+    }
+
     const char *name() const override
     {
         return dist_ == KeyDist::Zipf ? "BTree-Zipf" : "BTree-Rand";

@@ -47,7 +47,7 @@ HashWorkload::bucketAddr(std::uint64_t key) const
 void
 HashWorkload::setup()
 {
-    table_ = alloc_.allocate(buckets_ * sizeof(std::uint64_t), kLineSize);
+    table_ = alloc_->allocate(buckets_ * sizeof(std::uint64_t), kLineSize);
     const std::uint64_t zero = 0;
     for (std::uint64_t b = 0; b < buckets_; ++b) {
         backend().storeRaw(table_ + b * sizeof(std::uint64_t), &zero,
@@ -99,7 +99,7 @@ HashWorkload::upsertOrDelete(CoreId core, std::uint64_t key)
         } else {
             // Absent: insert at the head of the bucket.
             value = key * 3 + 1 + opCounter_;
-            const Addr fresh = alloc_.allocate(kNodeSize, kLineSize);
+            const Addr fresh = alloc_->allocate(kNodeSize, kLineSize);
             const Addr head = heap_.load64(core, bucketAddr(key));
             heap_.store64(core, fresh + kKeyOff, key);
             heap_.store64(core, fresh + kValOff, value);
@@ -108,7 +108,7 @@ HashWorkload::upsertOrDelete(CoreId core, std::uint64_t key)
         }
     });
     if (victim != 0) {
-        alloc_.free(victim, kNodeSize);
+        alloc_->free(victim, kNodeSize);
         reference_.erase(key);
     } else {
         reference_[key] = value;

@@ -33,6 +33,12 @@ class HashWorkload : public Workload
                  std::uint64_t buckets, std::uint64_t key_space,
                  KeyDist dist, std::uint64_t seed);
 
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<HashWorkload>(be, alloc);
+    }
+
     const char *name() const override
     {
         return dist_ == KeyDist::Zipf ? "Hash-Zipf" : "Hash-Rand";

@@ -22,8 +22,7 @@ KeyGenerator::KeyGenerator(KeyDist dist, std::uint64_t key_space,
     ssp_assert(key_space > 0);
     if (dist == KeyDist::Zipf) {
         // Paper section 5.1: 80% of updates go to 15% of the keys.
-        zipf_ = std::make_unique<ZipfGenerator>(
-            ZipfGenerator::hotspot(key_space, 0.15, 0.80, seed ^ 0x5bd1));
+        zipf_ = ZipfGenerator::hotspot(key_space, 0.15, 0.80, seed ^ 0x5bd1);
     }
 }
 

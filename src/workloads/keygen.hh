@@ -10,7 +10,7 @@
 #define SSP_WORKLOADS_KEYGEN_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "common/rng.hh"
@@ -44,7 +44,7 @@ class KeyGenerator
     KeyDist dist_;
     std::uint64_t keySpace_;
     Rng uniform_;
-    std::unique_ptr<ZipfGenerator> zipf_;
+    std::optional<ZipfGenerator> zipf_;
 };
 
 } // namespace ssp

@@ -44,9 +44,9 @@ void
 KvStoreWorkload::setup()
 {
     table_ =
-        alloc_.allocate(params_.buckets * sizeof(std::uint64_t), kLineSize);
-    lruHeadAddr_ = alloc_.allocate(sizeof(std::uint64_t), 8);
-    lruTailAddr_ = alloc_.allocate(sizeof(std::uint64_t), 8);
+        alloc_->allocate(params_.buckets * sizeof(std::uint64_t), kLineSize);
+    lruHeadAddr_ = alloc_->allocate(sizeof(std::uint64_t), 8);
+    lruTailAddr_ = alloc_->allocate(sizeof(std::uint64_t), 8);
     const std::uint64_t zero = 0;
     for (std::uint64_t b = 0; b < params_.buckets; ++b) {
         backend().storeRaw(table_ + b * sizeof(std::uint64_t), &zero,
@@ -140,7 +140,7 @@ KvStoreWorkload::set(CoreId core, std::uint64_t key)
         }
 
         // Insert a fresh item.
-        const Addr fresh = alloc_.allocate(itemSize(), kLineSize);
+        const Addr fresh = alloc_->allocate(itemSize(), kLineSize);
         heap_.store64(core, fresh + kKeyOff, key);
         heap_.store64(core, fresh + kSeqOff, stamp);
         std::vector<std::uint8_t> payload(
@@ -177,7 +177,7 @@ KvStoreWorkload::set(CoreId core, std::uint64_t key)
     evictions_ += freed.size();
     for (auto [addr, k] : freed) {
         reference_.erase(k);
-        alloc_.free(addr, itemSize());
+        alloc_->free(addr, itemSize());
     }
 }
 

@@ -40,6 +40,12 @@ class KvStoreWorkload : public Workload
     KvStoreWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                     const KvStoreParams &params, std::uint64_t seed);
 
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<KvStoreWorkload>(be, alloc);
+    }
+
     const char *name() const override { return "Memcached"; }
     void setup() override;
     void runOp(CoreId core) override;

@@ -15,7 +15,7 @@ RbTreeWorkload::RbTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
 void
 RbTreeWorkload::setup()
 {
-    rootAddr_ = alloc_.allocate(sizeof(std::uint64_t), 8);
+    rootAddr_ = alloc_->allocate(sizeof(std::uint64_t), 8);
     const std::uint64_t zero = 0;
     backend().storeRaw(rootAddr_, &zero, sizeof(zero));
     const std::uint64_t prefill = keys_.keySpace() / 2;
@@ -260,7 +260,7 @@ RbTreeWorkload::upsertOrDelete(CoreId c, std::uint64_t k)
             victim = node;
         } else {
             v = k * 7 + 3 + opCounter_;
-            const Addr fresh = alloc_.allocate(kNodeSize, kLineSize);
+            const Addr fresh = alloc_->allocate(kNodeSize, kLineSize);
             setKey(c, fresh, k);
             setVal(c, fresh, v);
             setLeft(c, fresh, 0);
@@ -276,7 +276,7 @@ RbTreeWorkload::upsertOrDelete(CoreId c, std::uint64_t k)
         }
     });
     if (victim != 0) {
-        alloc_.free(victim, kNodeSize);
+        alloc_->free(victim, kNodeSize);
         reference_.erase(k);
     } else {
         reference_[k] = v;

@@ -30,6 +30,12 @@ class RbTreeWorkload : public Workload
                    std::uint64_t key_space, KeyDist dist,
                    std::uint64_t seed);
 
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<RbTreeWorkload>(be, alloc);
+    }
+
     const char *name() const override
     {
         return dist_ == KeyDist::Zipf ? "RBTree-Zipf" : "RBTree-Rand";

@@ -21,7 +21,7 @@ SpsWorkload::elemAddr(std::uint64_t idx) const
 void
 SpsWorkload::setup()
 {
-    base_ = alloc_.allocate(numElements_ * sizeof(std::uint64_t),
+    base_ = alloc_->allocate(numElements_ * sizeof(std::uint64_t),
                             kLineSize);
     reference_.resize(numElements_);
     for (std::uint64_t i = 0; i < numElements_; ++i) {

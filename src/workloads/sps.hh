@@ -26,6 +26,12 @@ class SpsWorkload : public Workload
     SpsWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                 std::uint64_t num_elements, std::uint64_t seed);
 
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<SpsWorkload>(be, alloc);
+    }
+
     const char *name() const override { return "SPS"; }
     void setup() override;
     void runOp(CoreId core) override;

@@ -16,18 +16,18 @@
 namespace ssp
 {
 
-/** Convenience wrapper; stateless besides the backend reference. */
+/** Convenience wrapper; stateless besides the backend it drives. */
 class TxHeap
 {
   public:
-    explicit TxHeap(AtomicityBackend &be) : be_(be) {}
+    explicit TxHeap(AtomicityBackend &be) : be_(&be) {}
 
     /** Timed 64-bit load. */
     std::uint64_t
     load64(CoreId core, Addr addr)
     {
         std::uint64_t v = 0;
-        be_.load(core, addr, &v, sizeof(v));
+        be_->load(core, addr, &v, sizeof(v));
         return v;
     }
 
@@ -35,21 +35,21 @@ class TxHeap
     void
     store64(CoreId core, Addr addr, std::uint64_t v)
     {
-        be_.store(core, addr, &v, sizeof(v));
+        be_->store(core, addr, &v, sizeof(v));
     }
 
     /** Timed byte-range load. */
     void
     loadBytes(CoreId core, Addr addr, void *buf, std::uint64_t size)
     {
-        be_.load(core, addr, buf, size);
+        be_->load(core, addr, buf, size);
     }
 
     /** Timed failure-atomic byte-range store. */
     void
     storeBytes(CoreId core, Addr addr, const void *buf, std::uint64_t size)
     {
-        be_.store(core, addr, buf, size);
+        be_->store(core, addr, buf, size);
     }
 
     /** Untimed functional read (verification only). */
@@ -57,14 +57,14 @@ class TxHeap
     raw64(Addr addr)
     {
         std::uint64_t v = 0;
-        be_.loadRaw(addr, &v, sizeof(v));
+        be_->loadRaw(addr, &v, sizeof(v));
         return v;
     }
 
-    AtomicityBackend &backend() { return be_; }
+    AtomicityBackend &backend() { return *be_; }
 
   private:
-    AtomicityBackend &be_;
+    AtomicityBackend *be_;
 };
 
 } // namespace ssp

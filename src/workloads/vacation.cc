@@ -51,14 +51,14 @@ VacationWorkload::setup()
 {
     const std::uint64_t zero = 0;
     for (unsigned t = 0; t < 3; ++t) {
-        tables_[t] = alloc_.allocate(
+        tables_[t] = alloc_->allocate(
             params_.buckets * sizeof(std::uint64_t), kLineSize);
         for (std::uint64_t b = 0; b < params_.buckets; ++b) {
             backend().storeRaw(tables_[t] + b * sizeof(std::uint64_t),
                                &zero, sizeof(zero));
         }
     }
-    custTable_ = alloc_.allocate(params_.buckets * sizeof(std::uint64_t),
+    custTable_ = alloc_->allocate(params_.buckets * sizeof(std::uint64_t),
                                  kLineSize);
     for (std::uint64_t b = 0; b < params_.buckets; ++b) {
         backend().storeRaw(custTable_ + b * sizeof(std::uint64_t), &zero,
@@ -69,7 +69,7 @@ VacationWorkload::setup()
     // initial database image, not transactional work).
     for (unsigned t = 0; t < 3; ++t) {
         for (std::uint64_t id = 0; id < params_.relations; ++id) {
-            const Addr rec = alloc_.allocate(kResSize, 8);
+            const Addr rec = alloc_->allocate(kResSize, 8);
             const std::uint64_t price = 100 + (hashId(id ^ t) % 400);
             const std::uint64_t total = 50 + (hashId(id + t) % 50);
             const Addr head_addr = tableBucket(t, id);
@@ -85,7 +85,7 @@ VacationWorkload::setup()
         }
     }
     for (std::uint64_t id = 0; id < params_.customers; ++id) {
-        const Addr rec = alloc_.allocate(kCustSize, 8);
+        const Addr rec = alloc_->allocate(kCustSize, 8);
         const std::uint64_t zero64 = 0;
         const Addr head_addr = custBucket(id);
         std::uint64_t head = 0;
@@ -171,7 +171,7 @@ VacationWorkload::runOp(CoreId core)
         const std::uint64_t free_seats = heap_.load64(core, best + 24);
         heap_.store64(core, best + 24, free_seats - 1);
 
-        const Addr rsv = alloc_.allocate(kRsvSize, 8);
+        const Addr rsv = alloc_->allocate(kRsvSize, 8);
         const Addr rsv_head = heap_.load64(core, cust + 16);
         heap_.store64(core, rsv + 0, best);
         heap_.store64(core, rsv + 8, best_price);

@@ -42,6 +42,12 @@ class VacationWorkload : public Workload
     VacationWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                      const VacationParams &params, std::uint64_t seed);
 
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<VacationWorkload>(be, alloc);
+    }
+
     const char *name() const override { return "Vacation"; }
     void setup() override;
     void runOp(CoreId core) override;

@@ -13,6 +13,7 @@
 #define SSP_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/logging.hh"
@@ -51,10 +52,20 @@ class Workload
 {
   public:
     Workload(AtomicityBackend &be, PersistAlloc &alloc)
-        : heap_(be), alloc_(alloc)
+        : heap_(be), alloc_(&alloc)
     {
     }
     virtual ~Workload() = default;
+
+    Workload &operator=(const Workload &) = delete;
+
+    /**
+     * A copy of this workload's full state — heap layout, reference
+     * model, key and operation streams — driving @p be and allocating
+     * from @p alloc (copies of this workload's backend and allocator).
+     */
+    virtual std::unique_ptr<Workload> clone(AtomicityBackend &be,
+                                            PersistAlloc &alloc) const = 0;
 
     /** Workload name as printed in the paper's figures. */
     virtual const char *name() const = 0;
@@ -91,6 +102,19 @@ class Workload
     TxControlHook *txControl() const { return txControl_; }
 
   protected:
+    Workload(const Workload &) = default;
+
+    /** clone() for the concrete workload type @p Self. */
+    template <typename Self>
+    std::unique_ptr<Workload>
+    cloneAs(AtomicityBackend &be, PersistAlloc &alloc) const
+    {
+        auto copy = std::make_unique<Self>(static_cast<const Self &>(*this));
+        copy->heap_ = TxHeap(be);
+        copy->alloc_ = &alloc;
+        return copy;
+    }
+
     /**
      * Run one durable operation under concurrent conflict handling:
      * begin, execute @p body, validate against peer commits that landed
@@ -157,7 +181,7 @@ class Workload
     }
 
     TxHeap heap_;
-    PersistAlloc &alloc_;
+    PersistAlloc *alloc_;
     unsigned keyShards_ = 1;
     TxControlHook *txControl_ = nullptr;
 };

@@ -42,6 +42,8 @@ struct WorkloadScale
      * full key space shared across cores.
      */
     unsigned keyShards = 1;
+
+    bool operator==(const WorkloadScale &) const = default;
 };
 
 /** Printable workload name as in the paper. */

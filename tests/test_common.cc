@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: bitmaps, address arithmetic,
- * RNG/distributions, and statistics.
+ * RNG/distributions, statistics, and zero-initialized arrays.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 using namespace ssp;
 
@@ -215,6 +216,36 @@ TEST(Stats, SummaryTracksMinMaxMean)
     s.reset();
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+}
+
+TEST(ZeroedArray, StartsZeroAtEverySize)
+{
+    // Below and above the 1 MiB cut between calloc and mmap.
+    for (std::size_t n : {std::size_t{16}, std::size_t{1} << 18}) {
+        ZeroedArray<std::uint64_t> a(n);
+        ASSERT_EQ(a.size(), n);
+        for (std::size_t i = 0; i < n; i += 97)
+            EXPECT_EQ(a[i], 0u) << n << " " << i;
+    }
+}
+
+TEST(ZeroedArray, RecycledMappingIsReusedAndZero)
+{
+    constexpr std::size_t kWords = std::size_t{1} << 18; // 2 MiB
+    ZeroedArray<std::uint64_t> a(kWords);
+    const std::uint64_t *first = &a[0];
+    a[0] = 7;
+    a[kWords - 1] = 9;
+    a.zeroRange(0, 1);
+    a.zeroRange(kWords - 1, 1);
+    a.recycle();
+    EXPECT_EQ(a.size(), 0u);
+
+    // The thread's next array of the same size reuses the mapping.
+    ZeroedArray<std::uint64_t> b(kWords);
+    EXPECT_EQ(&b[0], first);
+    EXPECT_EQ(b[0], 0u);
+    EXPECT_EQ(b[kWords - 1], 0u);
 }
 
 } // namespace
