@@ -94,8 +94,11 @@ fi
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 echo "== smoke sweep =="
+# Written under the build dir: the checked-in report is the reference
+# it must match, byte for byte, not a file this run may rewrite.
 "$build_dir/sweep_main" --figure smoke --jobs 2 \
-    --json "$repo_root/BENCH_smoke.json"
+    --json "$build_dir/BENCH_smoke.json"
+cmp "$repo_root/BENCH_smoke.json" "$build_dir/BENCH_smoke.json"
 
 echo "== bad --txs / --seed exit 2 =="
 status=0

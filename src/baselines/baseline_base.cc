@@ -6,14 +6,7 @@ namespace ssp
 {
 
 BaselineBase::BaselineBase(const SspConfig &cfg)
-    : machine_(std::make_unique<Machine>(cfg)), tx_(cfg.numCores)
-{
-}
-
-BaselineBase::BaselineBase(const BaselineBase &other)
-    : machine_(std::make_unique<Machine>(*other.machine_)), tx_(other.tx_),
-      nextTid_(other.nextTid_), committedTxs_(other.committedTxs_),
-      charz_(other.charz_)
+    : machine_(cfg), tx_(cfg.numCores)
 {
 }
 
@@ -23,8 +16,8 @@ BaselineBase::begin(CoreId core)
     ssp_assert(!tx_[core].inTx, "nested failure-atomic sections");
     tx_[core].inTx = true;
     tx_[core].tid = nextTid_++;
-    machine_->clock(core) += machine_->cfg().opCost;
-    machine_->conflicts().beginTx(core, machine_->clock(core));
+    machine_.clock(core) += machine_.cfg().opCost;
+    machine_.conflicts().beginTx(core, machine_.clock(core));
 }
 
 bool
@@ -36,13 +29,13 @@ BaselineBase::inTx(CoreId core) const
 Ppn
 BaselineBase::translate(CoreId core, Vpn vpn)
 {
-    Cycles &now = machine_->clock(core);
-    Tlb &tlb = machine_->tlb(core);
+    Cycles &now = machine_.clock(core);
+    Tlb &tlb = machine_.tlb(core);
     if (TlbEntry *hit = tlb.lookup(vpn))
         return hit->ppn0;
     tlb.countMiss();
-    now = machine_->pt().walk(now);
-    Ppn ppn = machine_->pt().translate(vpn);
+    now = machine_.pt().walk(now);
+    Ppn ppn = machine_.pt().translate(vpn);
     TlbEntry entry;
     entry.valid = true;
     entry.vpn = vpn;
@@ -55,20 +48,20 @@ void
 BaselineBase::load(CoreId core, Addr vaddr, void *buf, std::uint64_t size)
 {
     auto *out = static_cast<std::uint8_t *>(buf);
-    Cycles &now = machine_->clock(core);
+    Cycles &now = machine_.clock(core);
     while (size > 0) {
         const std::uint64_t in_line =
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
         const Ppn ppn = translate(core, pageOf(vaddr));
         const Addr loc =
             lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
-        now = machine_->caches().read(core, loc, now);
-        now += machine_->cfg().opCost;
+        now = machine_.caches().read(core, loc, now);
+        now += machine_.cfg().opCost;
         if (!redirectLoad(core, lineBase(vaddr), lineOffset(vaddr), out,
                           in_line)) {
-            machine_->mem().read(loc, out, in_line);
+            machine_.mem().read(loc, out, in_line);
         }
-        machine_->conflicts().recordRead(core, vaddr);
+        machine_.conflicts().recordRead(core, vaddr);
         vaddr += in_line;
         out += in_line;
         size -= in_line;
@@ -83,8 +76,8 @@ BaselineBase::storeRaw(Addr vaddr, const void *buf, std::uint64_t size)
     while (size > 0) {
         const std::uint64_t in_line =
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Ppn ppn = machine_->pt().translate(pageOf(vaddr));
-        machine_->mem().write(
+        const Ppn ppn = machine_.pt().translate(pageOf(vaddr));
+        machine_.mem().write(
             lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr), in,
             in_line);
         vaddr += in_line;
@@ -100,10 +93,10 @@ BaselineBase::loadRaw(Addr vaddr, void *buf, std::uint64_t size)
     while (size > 0) {
         const std::uint64_t in_line =
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Ppn ppn = machine_->pt().translate(pageOf(vaddr));
+        const Ppn ppn = machine_.pt().translate(pageOf(vaddr));
         if (!redirectLoad(0, lineBase(vaddr), lineOffset(vaddr), out,
                           in_line)) {
-            machine_->mem().read(
+            machine_.mem().read(
                 lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr),
                 out, in_line);
         }
@@ -116,7 +109,7 @@ BaselineBase::loadRaw(Addr vaddr, void *buf, std::uint64_t size)
 void
 BaselineBase::crash()
 {
-    machine_->powerFail();
+    machine_.powerFail();
     for (auto &t : tx_)
         t.clear();
     onCrash();

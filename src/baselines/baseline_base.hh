@@ -39,7 +39,11 @@ struct BaselineTxState
     }
 };
 
-/** Base class for UNDO-LOG, REDO-LOG and SHADOW. */
+/**
+ * Base class for UNDO-LOG, REDO-LOG and SHADOW.  It and its subclasses
+ * hold the machine and their logs by value, handing the logs the
+ * machine's bus on each append, so clone() is the compiler's copy.
+ */
 class BaselineBase : public AtomicityBackend
 {
   public:
@@ -52,20 +56,16 @@ class BaselineBase : public AtomicityBackend
     void storeRaw(Addr vaddr, const void *buf, std::uint64_t size) override;
     void loadRaw(Addr vaddr, void *buf, std::uint64_t size) override;
     void crash() override;
-    Machine &machine() override { return *machine_; }
+    Machine &machine() override { return machine_; }
     std::uint64_t committedTxs() const override { return committedTxs_; }
     const TxCharacterization &characterization() const override
     {
         return charz_;
     }
 
-    const SspConfig &cfg() const { return machine_->cfg(); }
+    const SspConfig &cfg() const { return machine_.cfg(); }
 
   protected:
-    /** A deep copy: its own copy of @p other's machine. */
-    BaselineBase(const BaselineBase &other);
-    BaselineBase &operator=(const BaselineBase &) = delete;
-
     /**
      * Timed translation through the TLB (page walk on a miss); baselines
      * have no SSP metadata to fetch.
@@ -91,7 +91,7 @@ class BaselineBase : public AtomicityBackend
     /** Record a committed transaction's characterization. */
     void noteCommit(CoreId core);
 
-    std::unique_ptr<Machine> machine_;
+    Machine machine_;
     std::vector<BaselineTxState> tx_;
     TxId nextTid_ = 1;
     std::uint64_t committedTxs_ = 0;

@@ -14,10 +14,9 @@ constexpr Cycles kWpqAckCycles = 30;
 
 } // namespace
 
-PersistLog::PersistLog(MemoryBus &bus, Addr base_addr,
-                       std::uint64_t capacity_bytes, WriteCategory category,
-                       bool line_padded)
-    : bus_(&bus), baseAddr_(base_addr), capacityBytes_(capacity_bytes),
+PersistLog::PersistLog(Addr base_addr, std::uint64_t capacity_bytes,
+                       WriteCategory category, bool line_padded)
+    : baseAddr_(base_addr), capacityBytes_(capacity_bytes),
       category_(category), linePadded_(line_padded)
 {
     ssp_assert(lineOffset(base_addr) == 0);
@@ -25,7 +24,8 @@ PersistLog::PersistLog(MemoryBus &bus, Addr base_addr,
 }
 
 Cycles
-PersistLog::persistUpTo(std::uint64_t upto, Cycles now, bool partial)
+PersistLog::persistUpTo(MemoryBus &bus, std::uint64_t upto, Cycles now,
+                        bool partial)
 {
     // Array writes happen once per line: the tail line lives in the
     // persistent write queue and combines until full.
@@ -36,7 +36,7 @@ PersistLog::persistUpTo(std::uint64_t upto, Cycles now, bool partial)
     bool wrote = false;
     for (std::uint64_t line = countedLines_; line < last_line; ++line) {
         Cycles t =
-            bus_->issueWrite(baseAddr_ + line * kLineSize, category_, now);
+            bus.issueWrite(baseAddr_ + line * kLineSize, category_, now);
         ++lineWrites_;
         done = std::max(done, t);
         wrote = true;
@@ -49,7 +49,8 @@ PersistLog::persistUpTo(std::uint64_t upto, Cycles now, bool partial)
 }
 
 Cycles
-PersistLog::append(LogRecord rec, Cycles now, bool persist_now)
+PersistLog::append(MemoryBus &bus, LogRecord rec, Cycles now,
+                   bool persist_now)
 {
     const std::uint64_t size =
         linePadded_ ? rec.paddedSizeBytes() : rec.sizeBytes();
@@ -62,23 +63,23 @@ PersistLog::append(LogRecord rec, Cycles now, bool persist_now)
     recordEnds_.push_back(headBytes_);
 
     if (persist_now)
-        return persistUpTo(headBytes_, now, true);
+        return persistUpTo(bus, headBytes_, now, true);
 
     // Asynchronous: stream out lines that are now complete; remember
     // their completion so a later flush knows how far along we are.
     const std::uint64_t full = headBytes_ / kLineSize * kLineSize;
     if (full > persistedBytes_)
         backgroundDoneAt_ =
-            std::max(backgroundDoneAt_, persistUpTo(full, now, false));
+            std::max(backgroundDoneAt_, persistUpTo(bus, full, now, false));
     return now;
 }
 
 Cycles
-PersistLog::flush(Cycles now)
+PersistLog::flush(MemoryBus &bus, Cycles now)
 {
     Cycles done = std::max(now, backgroundDoneAt_);
     if (persistedBytes_ < headBytes_)
-        done = std::max(done, persistUpTo(headBytes_, now, true));
+        done = std::max(done, persistUpTo(bus, headBytes_, now, true));
     return done;
 }
 

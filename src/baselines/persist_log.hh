@@ -7,7 +7,8 @@
  * Records are kept structured for the simulator's benefit, while sizes
  * and line-granular write-back are byte-accurate so the log-write counts
  * of Figure 6 are faithful.  A record is durable when the log line that
- * contains its last byte has been written to NVRAM.
+ * contains its last byte has been written to NVRAM, over the memory bus
+ * the owner passes to each append and flush.
  */
 
 #ifndef SSP_BASELINES_PERSIST_LOG_HH
@@ -61,7 +62,6 @@ class PersistLog
 {
   public:
     /**
-     * @param bus Memory bus for write-back accounting/timing.
      * @param base_addr NVRAM byte address of this log's region.
      * @param capacity_bytes Region size.
      * @param category Write category the log's traffic is charged to.
@@ -70,29 +70,23 @@ class PersistLog
      *        by itself, so entries cannot share lines).  When false,
      *        records pack back-to-back (asynchronous streaming).
      */
-    PersistLog(MemoryBus &bus, Addr base_addr, std::uint64_t capacity_bytes,
+    PersistLog(Addr base_addr, std::uint64_t capacity_bytes,
                WriteCategory category, bool line_padded = false);
 
-    /** Copy of @p other's records and cursors, writing through @p bus. */
-    PersistLog(const PersistLog &other, MemoryBus &bus) : PersistLog(other)
-    {
-        bus_ = &bus;
-    }
-
-    PersistLog &operator=(const PersistLog &) = delete;
-
     /**
-     * Append a record.
+     * Append a record; its lines are written over @p bus.
      * @param persist_now Synchronous logging (undo): stall until the
      *        record's lines are in NVRAM.  Asynchronous logging (redo):
      *        stream full lines in the background.
      * @return completion time the caller must stall to (== @p now for
      *         asynchronous appends).
      */
-    Cycles append(LogRecord rec, Cycles now, bool persist_now);
+    Cycles append(MemoryBus &bus, LogRecord rec, Cycles now,
+                  bool persist_now);
 
-    /** Force everything appended so far to NVRAM; returns completion. */
-    Cycles flush(Cycles now);
+    /** Force everything appended so far to NVRAM over @p bus; returns
+     *  completion. */
+    Cycles flush(MemoryBus &bus, Cycles now);
 
     /** Index of the most recently appended record. */
     std::size_t
@@ -128,11 +122,9 @@ class PersistLog
     std::uint64_t lineWrites() const { return lineWrites_; }
 
   private:
-    PersistLog(const PersistLog &) = default;
+    Cycles persistUpTo(MemoryBus &bus, std::uint64_t upto, Cycles now,
+                       bool partial);
 
-    Cycles persistUpTo(std::uint64_t upto, Cycles now, bool partial);
-
-    MemoryBus *bus_;
     Addr baseAddr_;
     std::uint64_t capacityBytes_;
     WriteCategory category_;

@@ -22,10 +22,9 @@ RedoLogBackend::RedoLogBackend(const SspConfig &cfg)
         // Stagger per-core regions across banks (see UndoLogBackend).
         const Addr base =
             cfg.logBase() + c * per_core + c * cfg.nvram.rowBufferBytes;
-        logs_.push_back(std::make_unique<PersistLog>(
-            machine_->bus(), base,
-            per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
-            WriteCategory::RedoLog));
+        logs_.emplace_back(base,
+                           per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
+                           WriteCategory::RedoLog);
     }
 }
 
@@ -62,21 +61,21 @@ RedoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
 {
     ssp_assert(tx_[core].inTx, "atomic store outside a transaction");
     ssp_assert(fitsInLine(vaddr, size));
-    Cycles &now = machine_->clock(core);
+    Cycles &now = machine_.clock(core);
     BaselineTxState &tx = tx_[core];
 
     const Ppn ppn = translate(core, pageOf(vaddr));
     const Addr line_paddr = lineAddr(ppn, lineIndexInPage(vaddr));
     const Addr line_vaddr = lineBase(vaddr);
-    machine_->conflicts().recordWrite(core, vaddr);
+    machine_.conflicts().recordWrite(core, vaddr);
 
     auto it = writeBuf_[core].find(line_vaddr);
     if (it == writeBuf_[core].end()) {
         // First store to this line: seed the speculative image with the
         // committed contents, then apply the store.
         LineImage image;
-        now = machine_->caches().read(core, line_paddr, now);
-        machine_->mem().read(line_paddr, image.data(), kLineSize);
+        now = machine_.caches().read(core, line_paddr, now);
+        machine_.mem().read(line_paddr, image.data(), kLineSize);
         it = writeBuf_[core].emplace(line_vaddr, image).first;
         tx.lines.insert(line_vaddr);
         tx.pages.insert(pageOf(vaddr));
@@ -86,8 +85,8 @@ RedoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
     // The speculative version lives in the L1 (DHTM); the store is a
     // normal cache write, and the redo record streams out asynchronously
     // without stalling the store.
-    now = machine_->caches().write(core, line_paddr, now);
-    now += machine_->cfg().opCost;
+    now = machine_.caches().write(core, line_paddr, now);
+    now += machine_.cfg().opCost;
 }
 
 void
@@ -95,7 +94,7 @@ RedoLogBackend::commitPhase1(CoreId core)
 {
     ssp_assert(tx_[core].inTx, "commit outside a transaction");
     ssp_assert(!phase1Done_[core], "phase 1 already ran");
-    Cycles &now = machine_->clock(core);
+    Cycles &now = machine_.clock(core);
     BaselineTxState &tx = tx_[core];
 
     // The log buffer predicted the final state of each modified line:
@@ -104,21 +103,21 @@ RedoLogBackend::commitPhase1(CoreId core)
     // flush that the commit does stall on).
     for (Addr line_vaddr : tx.lines) {
         const auto &image = writeBuf_[core].at(line_vaddr);
-        const Ppn ppn = machine_->pt().translate(pageOf(line_vaddr));
+        const Ppn ppn = machine_.pt().translate(pageOf(line_vaddr));
         LogRecord rec;
         rec.kind = LogRecord::Kind::Data;
         rec.tid = tx.tid;
         rec.addr = lineAddr(ppn, lineIndexInPage(line_vaddr));
         rec.data.assign(image.begin(), image.end());
-        logs_[core]->append(std::move(rec), now, false);
+        logs_[core].append(machine_.bus(), std::move(rec), now, false);
     }
     LogRecord marker;
     marker.kind = LogRecord::Kind::Commit;
     marker.tid = tx.tid;
-    logs_[core]->append(std::move(marker), now, false);
+    logs_[core].append(machine_.bus(), std::move(marker), now, false);
     // Commit is acknowledged when the log (including the marker) is
     // durable — this is the only persistence stall in DHTM's pipeline.
-    now = logs_[core]->flush(now);
+    now = logs_[core].flush(machine_.bus(), now);
     phase1Done_[core] = true;
 }
 
@@ -126,7 +125,7 @@ void
 RedoLogBackend::commitPhase2(CoreId core)
 {
     ssp_assert(phase1Done_[core], "phase 2 before phase 1");
-    Cycles &now = machine_->clock(core);
+    Cycles &now = machine_.clock(core);
     BaselineTxState &tx = tx_[core];
 
     // Post-commit in-place write-back: overlaps with subsequent
@@ -134,13 +133,12 @@ RedoLogBackend::commitPhase2(CoreId core)
     // traffic — DHTM still pays the "write twice" cost.
     for (Addr line_vaddr : tx.lines) {
         const auto &image = writeBuf_[core].at(line_vaddr);
-        const Ppn ppn = machine_->pt().translate(pageOf(line_vaddr));
+        const Ppn ppn = machine_.pt().translate(pageOf(line_vaddr));
         const Addr loc = lineAddr(ppn, lineIndexInPage(line_vaddr));
-        machine_->mem().write(loc, image.data(), kLineSize);
-        machine_->caches().flushLine(core, loc, WriteCategory::Data, now,
-                                     true);
+        machine_.mem().write(loc, image.data(), kLineSize);
+        machine_.caches().flushLine(core, loc, WriteCategory::Data, now, true);
     }
-    logs_[core]->truncate();
+    logs_[core].truncate();
     writeBuf_[core].clear();
     phase1Done_[core] = false;
 
@@ -154,8 +152,8 @@ RedoLogBackend::commit(CoreId core)
     commitPhase1(core);
     // The ack point: the redo log (with its marker) is durable, so the
     // write set is published for peer conflict windows here.
-    machine_->conflicts().commitTx(core, machine_->clock(core),
-                                   machine_->minClock());
+    machine_.conflicts().commitTx(core, machine_.clock(core),
+                                  machine_.minClock());
     commitPhase2(core);
 }
 
@@ -165,13 +163,13 @@ RedoLogBackend::abort(CoreId core)
     ssp_assert(tx_[core].inTx, "abort outside a transaction");
     ssp_assert(!phase1Done_[core], "abort after the commit point");
     for (Addr line_vaddr : tx_[core].lines) {
-        const Ppn ppn = machine_->pt().translate(pageOf(line_vaddr));
-        machine_->caches().invalidateLine(
+        const Ppn ppn = machine_.pt().translate(pageOf(line_vaddr));
+        machine_.caches().invalidateLine(
             lineAddr(ppn, lineIndexInPage(line_vaddr)));
     }
     writeBuf_[core].clear();
-    logs_[core]->truncate();
-    machine_->conflicts().abortTx(core);
+    logs_[core].truncate();
+    machine_.conflicts().abortTx(core);
     tx_[core].clear();
 }
 
@@ -181,7 +179,7 @@ RedoLogBackend::onCrash()
     for (auto &buf : writeBuf_)
         buf.clear();
     for (auto &log : logs_)
-        log->powerFail();
+        log.powerFail();
     std::fill(phase1Done_.begin(), phase1Done_.end(), false);
 }
 
@@ -189,7 +187,7 @@ void
 RedoLogBackend::recover()
 {
     for (auto &log : logs_) {
-        auto records = log->persistedRecords();
+        auto records = log.persistedRecords();
         std::unordered_set<TxId> committed;
         for (const auto &rec : records) {
             if (rec.kind == LogRecord::Kind::Commit)
@@ -202,31 +200,22 @@ RedoLogBackend::recover()
                 !committed.contains(rec.tid)) {
                 continue;
             }
-            machine_->mem().write(rec.addr, rec.data.data(),
-                                  rec.data.size());
+            machine_.mem().write(rec.addr, rec.data.data(), rec.data.size());
         }
-        log->truncate();
+        log.truncate();
     }
 }
 
 std::uint64_t
 RedoLogBackend::loggingWrites() const
 {
-    return machine_->bus().nvramWrites(WriteCategory::RedoLog);
-}
-
-RedoLogBackend::RedoLogBackend(const RedoLogBackend &other)
-    : BaselineBase(other), writeBuf_(other.writeBuf_),
-      phase1Done_(other.phase1Done_)
-{
-    for (const auto &log : other.logs_)
-        logs_.push_back(std::make_unique<PersistLog>(*log, machine_->bus()));
+    return machine_.bus().nvramWrites(WriteCategory::RedoLog);
 }
 
 std::unique_ptr<AtomicityBackend>
 RedoLogBackend::clone() const
 {
-    return std::unique_ptr<AtomicityBackend>(new RedoLogBackend(*this));
+    return std::make_unique<RedoLogBackend>(*this);
 }
 
 } // namespace ssp

@@ -53,7 +53,7 @@ class RedoLogBackend : public BaselineBase
     /** Test hook: the in-place apply half of commit. */
     void commitPhase2(CoreId core);
 
-    PersistLog &log(CoreId core) { return *logs_[core]; }
+    PersistLog &log(CoreId core) { return logs_[core]; }
 
   protected:
     void onCrash() override;
@@ -61,8 +61,6 @@ class RedoLogBackend : public BaselineBase
                       void *buf, std::uint64_t size) override;
 
   private:
-    RedoLogBackend(const RedoLogBackend &other);
-
     using LineImage = std::array<std::uint8_t, kLineSize>;
 
     void storeLine(CoreId core, Addr vaddr, const void *buf,
@@ -72,7 +70,7 @@ class RedoLogBackend : public BaselineBase
     std::vector<std::unordered_map<Addr, LineImage>> writeBuf_;
     /** Cores that completed phase 1 but not yet phase 2. */
     std::vector<bool> phase1Done_;
-    std::vector<std::unique_ptr<PersistLog>> logs_;
+    std::vector<PersistLog> logs_;
 };
 
 } // namespace ssp

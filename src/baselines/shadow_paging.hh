@@ -48,8 +48,6 @@ class ShadowPagingBackend : public BaselineBase
     void onCrash() override;
 
   private:
-    ShadowPagingBackend(const ShadowPagingBackend &other);
-
     void storeLine(CoreId core, Addr vaddr, const void *buf,
                    std::uint64_t size);
 
@@ -59,7 +57,7 @@ class ShadowPagingBackend : public BaselineBase
     /** Per-core: vpn -> shadow ppn for pages touched by the open tx. */
     std::vector<std::unordered_map<Vpn, Ppn>> shadow_;
     /** Mapping journal (shared; one per-commit flush). */
-    std::unique_ptr<PersistLog> mapJournal_;
+    PersistLog mapJournal_;
     FreePagePool pool_;
 };
 

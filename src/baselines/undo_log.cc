@@ -24,10 +24,9 @@ UndoLogBackend::UndoLogBackend(const SspConfig &cfg) : BaselineBase(cfg)
         // Synchronous undo logging: every entry persists by itself
         // before the data store may proceed, so entries are line-padded
         // (no packing across entries).
-        logs_.push_back(std::make_unique<PersistLog>(
-            machine_->bus(), base,
-            per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
-            WriteCategory::UndoLog, true));
+        logs_.emplace_back(base,
+                           per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
+                           WriteCategory::UndoLog, true);
     }
 }
 
@@ -52,13 +51,13 @@ UndoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
 {
     ssp_assert(tx_[core].inTx, "atomic store outside a transaction");
     ssp_assert(fitsInLine(vaddr, size));
-    Cycles &now = machine_->clock(core);
+    Cycles &now = machine_.clock(core);
     BaselineTxState &tx = tx_[core];
 
     const Ppn ppn = translate(core, pageOf(vaddr));
     const Addr line_paddr = lineAddr(ppn, lineIndexInPage(vaddr));
     const Addr line_vaddr = lineBase(vaddr);
-    machine_->conflicts().recordWrite(core, vaddr);
+    machine_.conflicts().recordWrite(core, vaddr);
 
     if (!tx.lines.contains(line_vaddr)) {
         // First update of the line in this transaction: log the old
@@ -68,23 +67,23 @@ UndoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
         rec.tid = tx.tid;
         rec.addr = line_paddr;
         rec.data.resize(kLineSize);
-        now = machine_->caches().read(core, line_paddr, now);
-        machine_->mem().read(line_paddr, rec.data.data(), kLineSize);
-        now = logs_[core]->append(std::move(rec), now, true);
+        now = machine_.caches().read(core, line_paddr, now);
+        machine_.mem().read(line_paddr, rec.data.data(), kLineSize);
+        now = logs_[core].append(machine_.bus(), std::move(rec), now, true);
         tx.lines.insert(line_vaddr);
         tx.pages.insert(pageOf(vaddr));
     }
 
-    machine_->mem().write(line_paddr + lineOffset(vaddr), buf, size);
-    now = machine_->caches().write(core, line_paddr, now);
-    now += machine_->cfg().opCost;
+    machine_.mem().write(line_paddr + lineOffset(vaddr), buf, size);
+    now = machine_.caches().write(core, line_paddr, now);
+    now += machine_.cfg().opCost;
 }
 
 void
 UndoLogBackend::commit(CoreId core)
 {
     ssp_assert(tx_[core].inTx, "commit outside a transaction");
-    Cycles &now = machine_->clock(core);
+    Cycles &now = machine_.clock(core);
     BaselineTxState &tx = tx_[core];
 
     // Data persistence: flush every write-set line; the undo records
@@ -92,10 +91,10 @@ UndoLogBackend::commit(CoreId core)
     // acknowledged until all of them are durable.
     Cycles flushed = now;
     for (Addr line_vaddr : tx.lines) {
-        const Ppn ppn = machine_->pt().translate(pageOf(line_vaddr));
+        const Ppn ppn = machine_.pt().translate(pageOf(line_vaddr));
         const Addr loc = lineAddr(ppn, lineIndexInPage(line_vaddr));
-        Cycles t = machine_->caches().flushLine(core, loc,
-                                                WriteCategory::Data, now);
+        Cycles t = machine_.caches().flushLine(core, loc,
+                                               WriteCategory::Data, now);
         flushed = std::max(flushed, t);
     }
 
@@ -103,10 +102,10 @@ UndoLogBackend::commit(CoreId core)
     LogRecord marker;
     marker.kind = LogRecord::Kind::Commit;
     marker.tid = tx.tid;
-    now = logs_[core]->append(std::move(marker), flushed, true);
-    logs_[core]->truncate();
+    now = logs_[core].append(machine_.bus(), std::move(marker), flushed, true);
+    logs_[core].truncate();
 
-    machine_->conflicts().commitTx(core, now, machine_->minClock());
+    machine_.conflicts().commitTx(core, now, machine_.minClock());
     noteCommit(core);
     tx.clear();
 }
@@ -116,14 +115,14 @@ UndoLogBackend::abort(CoreId core)
 {
     ssp_assert(tx_[core].inTx, "abort outside a transaction");
     // Roll back in place from the (fully persisted) undo records.
-    rollback(*logs_[core]);
+    rollback(logs_[core]);
     for (Addr line_vaddr : tx_[core].lines) {
-        const Ppn ppn = machine_->pt().translate(pageOf(line_vaddr));
-        machine_->caches().invalidateLine(
+        const Ppn ppn = machine_.pt().translate(pageOf(line_vaddr));
+        machine_.caches().invalidateLine(
             lineAddr(ppn, lineIndexInPage(line_vaddr)));
     }
-    logs_[core]->truncate();
-    machine_->conflicts().abortTx(core);
+    logs_[core].truncate();
+    machine_.conflicts().abortTx(core);
     tx_[core].clear();
 }
 
@@ -135,7 +134,7 @@ UndoLogBackend::rollback(PersistLog &log)
     for (auto it = records.rbegin(); it != records.rend(); ++it) {
         if (it->kind != LogRecord::Kind::Data)
             continue;
-        machine_->mem().write(it->addr, it->data.data(), kLineSize);
+        machine_.mem().write(it->addr, it->data.data(), kLineSize);
     }
 }
 
@@ -145,35 +144,28 @@ UndoLogBackend::recover()
     // Any log content at recovery belongs to an unfinished transaction
     // (committed transactions truncate their log): roll it back.
     for (auto &log : logs_) {
-        auto records = log->persistedRecords();
+        auto records = log.persistedRecords();
         bool committed = false;
         for (const auto &rec : records) {
             if (rec.kind == LogRecord::Kind::Commit)
                 committed = true;
         }
         if (!committed)
-            rollback(*log);
-        log->truncate();
+            rollback(log);
+        log.truncate();
     }
 }
 
 std::uint64_t
 UndoLogBackend::loggingWrites() const
 {
-    return machine_->bus().nvramWrites(WriteCategory::UndoLog);
-}
-
-UndoLogBackend::UndoLogBackend(const UndoLogBackend &other)
-    : BaselineBase(other)
-{
-    for (const auto &log : other.logs_)
-        logs_.push_back(std::make_unique<PersistLog>(*log, machine_->bus()));
+    return machine_.bus().nvramWrites(WriteCategory::UndoLog);
 }
 
 std::unique_ptr<AtomicityBackend>
 UndoLogBackend::clone() const
 {
-    return std::unique_ptr<AtomicityBackend>(new UndoLogBackend(*this));
+    return std::make_unique<UndoLogBackend>(*this);
 }
 
 } // namespace ssp

@@ -40,21 +40,19 @@ class UndoLogBackend : public BaselineBase
     void recover() override;
     std::uint64_t loggingWrites() const override;
 
-    PersistLog &log(CoreId core) { return *logs_[core]; }
+    PersistLog &log(CoreId core) { return logs_[core]; }
 
   protected:
     void onCrash() override {}
 
   private:
-    UndoLogBackend(const UndoLogBackend &other);
-
     void storeLine(CoreId core, Addr vaddr, const void *buf,
                    std::uint64_t size);
 
     /** Functional rollback of one core's unfinished transaction. */
     void rollback(PersistLog &log);
 
-    std::vector<std::unique_ptr<PersistLog>> logs_;
+    std::vector<PersistLog> logs_;
 };
 
 } // namespace ssp

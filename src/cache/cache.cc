@@ -1,6 +1,5 @@
 #include "cache/cache.hh"
 
-#include "cache/sharer_index.hh"
 #include "common/logging.hh"
 
 namespace ssp
@@ -25,9 +24,8 @@ Cache::Cache(const CacheParams &params) : params_(params)
     touched_.assign((num_lines + kChunkLines - 1) / kChunkLines, 0);
 }
 
-Cache::Cache(const Cache &other, SharerIndex *sharers)
-    : sharers_(sharers), shareCore_(other.shareCore_),
-      shareLevel_(other.shareLevel_), params_(other.params_),
+Cache::Cache(const Cache &other)
+    : params_(other.params_),
       numSets_(other.numSets_), numLines_(other.numLines_),
       tags_(numLines_), lru_(numLines_), touched_(other.touched_),
       lruClock_(other.lruClock_), hits_(other.hits_),
@@ -92,20 +90,6 @@ Cache::touch(std::uint64_t idx)
     lru_[idx] = ++lruClock_;
 }
 
-void
-Cache::notifyAdd(Addr line_addr)
-{
-    if (sharers_ != nullptr)
-        sharers_->add(shareCore_, shareLevel_, line_addr);
-}
-
-void
-Cache::notifyRemove(Addr line_addr)
-{
-    if (sharers_ != nullptr)
-        sharers_->remove(shareCore_, shareLevel_, line_addr);
-}
-
 CacheAccessResult
 Cache::access(Addr line_addr, bool is_write)
 {
@@ -145,18 +129,18 @@ CacheAccessResult
 Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
 {
     CacheAccessResult res;
+    res.filled = true;
     const std::uint64_t idx = victimIn(setOf(line_addr));
     const std::uint64_t old = tags_[idx];
     if ((old & kValidBit) != 0) {
         ++evictions_;
+        res.evicted = true;
+        res.victimAddr = old & kTagMask;
         if ((old & kDirtyBit) != 0) {
             res.writeback = true;
-            res.victimAddr = old & kTagMask;
             res.victimTx = (old & kTxFlagBit) != 0;
         }
-        notifyRemove(old & kTagMask);
     }
-    notifyAdd(line_addr);
     touched_[idx / kChunkLines] = 1;
     tags_[idx] = line_addr | kValidBit | (dirty ? kDirtyBit : 0) |
                  (tx ? kTxFlagBit : 0);
@@ -209,7 +193,6 @@ Cache::invalidate(Addr line_addr)
 {
     const std::uint64_t idx = findIdx(line_addr);
     if (idx != kNoLine) {
-        notifyRemove(line_addr);
         tags_[idx] &= kTagMask;
         return true;
     }
@@ -225,7 +208,6 @@ Cache::remap(Addr old_addr, Addr new_addr)
         return res;
     const bool dirty = (tags_[idx] & kDirtyBit) != 0;
     const bool tx = (tags_[idx] & kTxFlagBit) != 0;
-    notifyRemove(old_addr);
     tags_[idx] &= kTagMask;
     res = insert(new_addr, dirty, tx);
     res.hit = true; // signals "old line was present and moved"
@@ -244,7 +226,6 @@ Cache::invalidateAll()
             // the valid bit).
             if ((tags_[i] & kValidBit) == 0)
                 continue;
-            notifyRemove(tags_[i] & kTagMask);
             tags_[i] = 0;
             lru_[i] = 0;
         }

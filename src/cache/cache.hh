@@ -27,8 +27,6 @@
 namespace ssp
 {
 
-class SharerIndex;
-
 /** Geometry and latency of one cache level. */
 struct CacheParams
 {
@@ -47,9 +45,13 @@ struct CacheParams
 struct CacheAccessResult
 {
     bool hit = false;
-    /** A dirty victim was evicted and must be handled by the caller. */
+    /** The line was allocated (a miss or a remap filled a way). */
+    bool filled = false;
+    /** A valid victim was evicted to make room for the fill. */
+    bool evicted = false;
+    /** The victim was dirty and must be handled by the caller. */
     bool writeback = false;
-    /** Line address of the dirty victim (valid when writeback). */
+    /** Line address of the victim (valid when evicted). */
     Addr victimAddr = 0;
     /** TX bit of the dirty victim. */
     bool victimTx = false;
@@ -73,35 +75,14 @@ class Cache
 
     /**
      * Copy of @p other's full state (tags, LRU stamps and clock,
-     * counters), reporting to @p sharers in @p other's place (nullptr
-     * for a detached cache).  Only the chunks of the tag and LRU arrays
-     * a fill ever touched are copied, so a big, mostly empty L3 stays
-     * lazily mapped in the copy too.
+     * counters).  Only the chunks of the tag and LRU arrays a fill ever
+     * touched are copied, so a big, mostly empty L3 stays lazily mapped
+     * in the copy too.
      */
-    Cache(const Cache &other, SharerIndex *sharers);
-
-    Cache(const Cache &) = delete;
-    Cache &operator=(const Cache &) = delete;
+    Cache(const Cache &other);
 
     /** Zeroes the chunks fills touched and recycles the arrays. */
     ~Cache();
-
-    /**
-     * Register this cache as core @p core's level-@p level private
-     * cache in the hierarchy's sharer index.  Every later tag
-     * insertion/eviction/invalidation notifies the index, keeping its
-     * per-line presence masks exact.  Attached by CacheHierarchy to
-     * private L1/L2 caches of multi-core machines only; a detached
-     * cache (single core, the shared L3, standalone tests) pays no
-     * bookkeeping.
-     */
-    void
-    attachSharerIndex(SharerIndex *index, CoreId core, unsigned level)
-    {
-        sharers_ = index;
-        shareCore_ = core;
-        shareLevel_ = level;
-    }
 
     /**
      * Look up @p line_addr, allocating it on a miss.
@@ -184,8 +165,6 @@ class Cache
     /** Victim slot in @p set: first invalid way, else lowest LRU. */
     std::uint64_t victimIn(std::uint64_t set) const;
     void touch(std::uint64_t idx);
-    void notifyAdd(Addr line_addr);
-    void notifyRemove(Addr line_addr);
     /** Allocate @p line_addr (known absent) over the set's victim. */
     CacheAccessResult fillVictim(Addr line_addr, bool dirty, bool tx);
 
@@ -202,9 +181,6 @@ class Cache
         }
     }
 
-    SharerIndex *sharers_ = nullptr;
-    CoreId shareCore_ = 0;
-    unsigned shareLevel_ = 0;
     CacheParams params_;
     std::uint64_t numSets_;
     std::uint64_t numLines_;

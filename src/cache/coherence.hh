@@ -29,8 +29,6 @@
 #define SSP_CACHE_COHERENCE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/bitmap64.hh"
@@ -38,8 +36,6 @@
 
 namespace ssp
 {
-
-class SharerListener;
 
 /** Which coherence cost model prices the machine's traffic. */
 enum class CoherenceMode
@@ -77,20 +73,13 @@ struct CoherenceParams
 /**
  * Interface every coherence cost model implements, plus the message
  * counters all models share.  The hierarchy and the engines call the
- * virtual cost hooks on every coherence event; Machine owns the model
- * and applies the receiver-side cycle charges it prices.
+ * virtual cost hooks on every coherence event; the cache hierarchy
+ * holds the model by value (AnyCoherenceModel) and Machine applies the
+ * receiver-side cycle charges it prices.
  */
 class CoherenceModel
 {
   public:
-    /**
-     * A line's live private copies are dropped on behalf of the model
-     * (snoop-filter back-invalidation): the hierarchy drops every
-     * sharer copy of the line — writing back dirty data — and returns
-     * the bitmap of cores that held one.
-     */
-    using BackInvalidateFn = std::function<CoreBitmap(Addr line, Cycles now)>;
-
     explicit CoherenceModel(unsigned num_cores)
         : numCores_(num_cores), flipsSent_(num_cores, 0),
           invalidationsSent_(num_cores, 0), messagesReceived_(num_cores, 0)
@@ -98,13 +87,6 @@ class CoherenceModel
     }
 
     virtual ~CoherenceModel() = default;
-
-    /**
-     * A copy of the model's full state — counters, filters, pending
-     * maintenance — with no back-invalidation callback installed: the
-     * owner of the copy attaches its own (attachBackInvalidator).
-     */
-    virtual std::unique_ptr<CoherenceModel> clone() const = 0;
 
     /**
      * Price a flip-current-bit send for the sub-page holding @p line,
@@ -132,22 +114,6 @@ class CoherenceModel
      */
     virtual Cycles shootdownReceiverCost(CoreId receiver,
                                          Addr line) const = 0;
-
-    /** The sharer-index observer this model needs, if any (the
-     *  directory's snoop filter); nullptr for broadcast. */
-    virtual SharerListener *sharerListener() { return nullptr; }
-
-    /** Install the hierarchy's back-invalidation callback (no-op for
-     *  models without a snoop filter). */
-    virtual void attachBackInvalidator(BackInvalidateFn) {}
-
-    /** True when the model queues deferred maintenance work that the
-     *  hierarchy must drain after each timed access. */
-    virtual bool needsMaintenance() const { return false; }
-
-    /** Process deferred maintenance (snoop-filter back-invalidations)
-     *  at a point where no cache access is mid-flight. */
-    virtual void drainMaintenance(Cycles) {}
 
     /** Volatile model state lost on power failure (filters, queues);
      *  counters are measurement state and survive. */
@@ -264,12 +230,6 @@ class BroadcastCoherence final : public CoherenceModel
     {
     }
 
-    std::unique_ptr<CoherenceModel>
-    clone() const override
-    {
-        return std::make_unique<BroadcastCoherence>(*this);
-    }
-
     Cycles
     flipCurrentBit(CoreId sender, Addr, const CoreBitmap &,
                    Cycles now) override
@@ -306,15 +266,6 @@ class BroadcastCoherence final : public CoherenceModel
   private:
     Cycles broadcastLatency_;
 };
-
-/**
- * Build the coherence model @p params selects: the flat BroadcastCoherence
- * bus (priced by @p broadcast_latency) or the mesh DirectoryCoherence
- * model from src/interconnect/.
- */
-std::unique_ptr<CoherenceModel>
-makeCoherenceModel(unsigned num_cores, Cycles broadcast_latency,
-                   const CoherenceParams &params);
 
 } // namespace ssp
 

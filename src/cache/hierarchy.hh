@@ -6,23 +6,40 @@
  * Functional data lives in PhysMem; the hierarchy provides timing, dirty
  * tracking, write-back accounting, and the SSP line-remap operation
  * applied at every level where the line is present.
+ *
+ * The hierarchy is a plain value.  It owns everything its accesses
+ * reach — the caches, the sharer index, the coherence model and the
+ * memory bus below the caches — so the compiler's copy of it is a
+ * complete, independent hierarchy.
  */
 
 #ifndef SSP_CACHE_HIERARCHY_HH
 #define SSP_CACHE_HIERARCHY_HH
 
-#include <cstddef>
-#include <memory>
+#include <variant>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/coherence.hh"
 #include "cache/sharer_index.hh"
 #include "common/types.hh"
+#include "interconnect/directory.hh"
 #include "mem/memory_bus.hh"
 
 namespace ssp
 {
+
+/** One coherence cost model, held by value. */
+using AnyCoherenceModel = std::variant<BroadcastCoherence, DirectoryCoherence>;
+
+/**
+ * Build the coherence model @p params selects: the flat BroadcastCoherence
+ * bus (priced by @p broadcast_latency) or the mesh DirectoryCoherence
+ * model from src/interconnect/.
+ */
+AnyCoherenceModel makeCoherenceModel(unsigned num_cores,
+                                     Cycles broadcast_latency,
+                                     const CoherenceParams &params);
 
 /** Geometry of the full hierarchy. */
 struct HierarchyParams
@@ -47,35 +64,16 @@ class CacheHierarchy
 {
   public:
     /**
-     * @param force_sharer_index Maintain the sharer index even below
-     *        kSharerIndexMinCores — the directory coherence model's
-     *        snoop filter is fed by it, so directory-mode machines
-     *        need it at every core count.
+     * @param bus The memory below the shared L3.
+     * @param coherence Prices write invalidations: write() drops
+     *        peer-cached copies and charges the sender one coherence
+     *        event when any existed.  A directory model's snoop filter
+     *        is fed from the sharer index — which directory machines
+     *        therefore keep at every core count — and its forced
+     *        evictions are drained after every timed access.
      */
     CacheHierarchy(unsigned num_cores, const HierarchyParams &params,
-                   MemoryBus &bus, bool force_sharer_index = false);
-
-    /**
-     * Copy of @p other's caches and sharer index over @p bus.  No
-     * coherence model is attached: the owner re-attaches its own copy
-     * of the model (attachCoherence), which also re-wires the index's
-     * listener.
-     */
-    CacheHierarchy(const CacheHierarchy &other, MemoryBus &bus);
-
-    CacheHierarchy(const CacheHierarchy &) = delete;
-    CacheHierarchy &operator=(const CacheHierarchy &) = delete;
-
-    /**
-     * Attach the coherence model (done by Machine after construction).
-     * With a model attached, write() invalidates peer-cached copies and
-     * charges the sender one coherence event when any existed; without
-     * one the hierarchy times every access in isolation (standalone
-     * tests).  A model with a sharer listener (the directory snoop
-     * filter) is wired into the sharer index here, and its deferred
-     * maintenance is drained after every timed access.
-     */
-    void attachCoherence(CoherenceModel *model);
+                   MemoryBus bus, AnyCoherenceModel coherence);
 
     /** Timed read of the line containing @p addr. */
     Cycles read(CoreId core, Addr addr, Cycles now);
@@ -148,13 +146,35 @@ class CacheHierarchy
     /** True if the line is dirty in any level. */
     bool isDirty(CoreId core, Addr addr) const;
 
-    /** Simulated power failure: all volatile cache state disappears. */
+    /**
+     * Simulated power failure: all volatile cache state disappears,
+     * with the sharer index and the coherence model's filters that
+     * mirror it.
+     */
     void invalidateAll();
 
-    Cache &l1(CoreId core) { return *l1s_[core]; }
-    Cache &l2(CoreId core) { return *l2s_[core]; }
-    Cache &l3() { return *l3_; }
+    Cache &l1(CoreId core) { return l1s_[core]; }
+    Cache &l2(CoreId core) { return l2s_[core]; }
+    Cache &l3() { return l3_; }
     unsigned numCores() const { return static_cast<unsigned>(l1s_.size()); }
+
+    MemoryBus &bus() { return memory_; }
+    const MemoryBus &bus() const { return memory_; }
+
+    /** The coherence model, whichever of the two it is. */
+    CoherenceModel &
+    coherence()
+    {
+        return std::visit([](CoherenceModel &m) -> auto & { return m; },
+                          model_);
+    }
+
+    const CoherenceModel &
+    coherence() const
+    {
+        return std::visit(
+            [](const CoherenceModel &m) -> auto & { return m; }, model_);
+    }
 
     /**
      * Smallest core count whose hierarchy maintains the sharer index:
@@ -178,6 +198,72 @@ class CacheHierarchy
     const SharerIndex &sharerIndex() const { return sharers_; }
 
   private:
+    /** Core @p core's private cache at sharer-index level @p level. */
+    Cache &
+    privateCache(CoreId core, unsigned level)
+    {
+        return level == SharerIndex::kL1 ? l1s_[core] : l2s_[core];
+    }
+
+    /** The directory model, or nullptr under broadcast. */
+    DirectoryCoherence *
+    directory()
+    {
+        return std::get_if<DirectoryCoherence>(&model_);
+    }
+
+    /**
+     * Mirror a private-cache operation of core @p core at @p level into
+     * the sharer index (and the directory's snoop filter): the victim
+     * @p res evicted leaves, and @p line arrives when @p res filled it.
+     */
+    void
+    track(CoreId core, unsigned level, Addr line,
+          const CacheAccessResult &res)
+    {
+        if (!indexed_)
+            return;
+        if (res.evicted)
+            unshare(core, level, res.victimAddr);
+        if (res.filled) {
+            sharers_.add(core, level, line);
+            if (DirectoryCoherence *dir = directory())
+                dir->lineCached(line);
+        }
+    }
+
+    /** @p line left core @p core's level-@p level cache. */
+    void
+    unshare(CoreId core, unsigned level, Addr line)
+    {
+        if (!sharers_.remove(core, level, line))
+            return;
+        if (DirectoryCoherence *dir = directory())
+            dir->lineUncached(line);
+    }
+
+    /** Drop @p line from core @p core's level-@p level cache; true
+     *  when it was there. */
+    bool
+    invalidatePrivate(CoreId core, unsigned level, Addr line)
+    {
+        if (!privateCache(core, level).invalidate(line))
+            return false;
+        if (indexed_)
+            unshare(core, level, line);
+        return true;
+    }
+
+    /** Drop @p line from core @p core's L1 and L2; true when either
+     *  held it. */
+    bool
+    invalidatePrivates(CoreId core, Addr line)
+    {
+        const bool in_l1 = invalidatePrivate(core, SharerIndex::kL1, line);
+        const bool in_l2 = invalidatePrivate(core, SharerIndex::kL2, line);
+        return in_l1 || in_l2;
+    }
+
     /** Handle a dirty victim evicted from level @p level (0=L1, 1=L2). */
     void handleVictim(CoreId core, unsigned level,
                       const CacheAccessResult &res, Cycles now);
@@ -185,27 +271,27 @@ class CacheHierarchy
     /**
      * MESI-style write invalidation: drop peer copies of @p line and,
      * when any existed, charge the sender one coherence event on top
-     * of @p done.  No-op without an attached model or peers.
+     * of @p done.  No-op without peers.
      */
     Cycles invalidatePeersOnWrite(CoreId core, Addr line, Cycles done);
 
-    /** read() body; the public wrapper drains coherence maintenance. */
+    /** Back-invalidate every line the directory's snoop filter evicted
+     *  during the access that just completed (no-op under broadcast). */
+    void drainBackInvalidations(Cycles now);
+
+    /** read() body; the public wrapper drains back-invalidations. */
     Cycles readImpl(CoreId core, Addr addr, Cycles now);
 
-    /** write() body; the public wrapper drains coherence maintenance. */
+    /** write() body; the public wrapper drains back-invalidations. */
     Cycles writeImpl(CoreId core, Addr addr, Cycles now);
 
-    HierarchyParams params_;
-    MemoryBus &bus_;
-    CoherenceModel *coherence_ = nullptr;
-    /** Set iff coherence_ queues deferred maintenance (the directory
-     *  snoop filter); broadcast machines pay one null check only. */
-    CoherenceModel *maintenance_ = nullptr;
+    MemoryBus memory_;
+    AnyCoherenceModel model_;
     bool indexed_ = false;
     SharerIndex sharers_;
-    std::vector<std::unique_ptr<Cache>> l1s_;
-    std::vector<std::unique_ptr<Cache>> l2s_;
-    std::unique_ptr<Cache> l3_;
+    std::vector<Cache> l1s_;
+    std::vector<Cache> l2s_;
+    Cache l3_;
 };
 
 } // namespace ssp

@@ -52,8 +52,12 @@ class ZeroedArray
     {
     }
 
-    ZeroedArray(const ZeroedArray &) = delete;
-    ZeroedArray &operator=(const ZeroedArray &) = delete;
+    /** A full copy (an owner that knows which ranges are still zero
+     *  copies just those with copyRange instead). */
+    ZeroedArray(const ZeroedArray &other) : ZeroedArray(other.size_)
+    {
+        copyRange(other, 0, size_);
+    }
 
     ZeroedArray(ZeroedArray &&other) noexcept
         : data_(std::exchange(other.data_, nullptr)),

@@ -1,15 +1,19 @@
 /**
  * @file
  * The simulated machine substrate shared by SSP and the baseline
- * designs: physical memory, the memory bus, the cache hierarchy, the
- * page table, the coherence model, per-core TLBs and per-core clocks.
+ * designs: physical memory, the cache hierarchy (with the coherence
+ * model and the memory bus it drives), the page table, per-core TLBs
+ * and per-core clocks.
+ *
+ * A Machine is a plain value: every part is held by value and none
+ * points at another, so the compiler's copy of a machine is an
+ * independent machine in the same simulated state.
  */
 
 #ifndef SSP_CORE_MACHINE_HH
 #define SSP_CORE_MACHINE_HH
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "cache/coherence.hh"
@@ -31,21 +35,13 @@ class Machine
   public:
     explicit Machine(const SspConfig &cfg)
         : cfg_(cfg), mem_(cfg.nvramPages(), cfg.dramPages),
-          bus_(mem_, cfg.memSystem()),
-          // Directory mode needs the sharer index (its directory state
-          // and snoop-filter feed) at every core count, not just past
-          // the perf cutover.
-          caches_(cfg.numCores, cfg.caches, bus_,
-                  cfg.coherence.mode == CoherenceMode::Directory),
+          caches_(cfg.numCores, cfg.caches, MemoryBus(mem_, cfg.memSystem()),
+                  makeCoherenceModel(cfg.numCores, cfg.broadcastLatency,
+                                     cfg.coherence)),
           pt_(cfg.pageWalkCycles, cfg.heapPages),
-          coherence_(makeCoherenceModel(cfg.numCores, cfg.broadcastLatency,
-                                        cfg.coherence)),
           conflicts_(cfg.numCores, cfg.conflicts),
-          clocks_(cfg.numCores, 0)
+          tlbs_(cfg.numCores, Tlb(cfg.tlbEntries)), clocks_(cfg.numCores, 0)
     {
-        wireCoherence();
-        for (unsigned i = 0; i < cfg.numCores; ++i)
-            tlbs_.emplace_back(cfg.tlbEntries);
         // Identity-map the persistent heap up front.  Consolidation may
         // later retarget individual mappings; recovery relies on every
         // heap page having a page-table entry.
@@ -53,31 +49,14 @@ class Machine
             pt_.map(vpn, vpn);
     }
 
-    /**
-     * A copy of @p other's full simulated state — memory image, bus
-     * timing, caches and sharer index, page table, coherence model,
-     * conflict log, TLBs and clocks — with every internal link pointed
-     * at the copy's own members.
-     */
-    Machine(const Machine &other)
-        : cfg_(other.cfg_), mem_(other.mem_), bus_(other.bus_, mem_),
-          caches_(other.caches_, bus_), pt_(other.pt_),
-          coherence_(other.coherence_->clone()),
-          conflicts_(other.conflicts_), tlbs_(other.tlbs_),
-          clocks_(other.clocks_)
-    {
-        wireCoherence();
-    }
-
-    Machine &operator=(const Machine &) = delete;
-
     const SspConfig &cfg() const { return cfg_; }
     PhysMem &mem() { return mem_; }
-    MemoryBus &bus() { return bus_; }
+    MemoryBus &bus() { return caches_.bus(); }
+    const MemoryBus &bus() const { return caches_.bus(); }
     CacheHierarchy &caches() { return caches_; }
     PageTable &pt() { return pt_; }
-    CoherenceModel &coherence() { return *coherence_; }
-    const CoherenceModel &coherence() const { return *coherence_; }
+    CoherenceModel &coherence() { return caches_.coherence(); }
+    const CoherenceModel &coherence() const { return caches_.coherence(); }
     ConflictManager &conflicts() { return conflicts_; }
     const ConflictManager &conflicts() const { return conflicts_; }
     Tlb &tlb(CoreId core) { return tlbs_[core]; }
@@ -126,11 +105,12 @@ class Machine
     void
     chargeShootdown(CoreId sender, Addr line, const CoreBitmap &peer_mask)
     {
+        CoherenceModel &model = coherence();
         peer_mask.forEachSet([&](CoreId c) {
             if (c == sender)
                 return;
-            clocks_[c] += coherence_->shootdownReceiverCost(c, line);
-            coherence_->deliverShootdown(c);
+            clocks_[c] += model.shootdownReceiverCost(c, line);
+            model.deliverShootdown(c);
         });
     }
 
@@ -139,37 +119,18 @@ class Machine
     powerFail()
     {
         caches_.invalidateAll();
-        coherence_->powerFail();
         for (auto &tlb : tlbs_)
             tlb.flushAll();
         mem_.powerFail();
-        bus_.resetTiming();
+        bus().resetTiming();
         conflicts_.reset();
     }
 
   private:
-    /**
-     * The hierarchy's write path invalidates peer copies through the
-     * coherence model (MESI-style); standalone hierarchies time in
-     * isolation.  The directory model's snoop filter is wired to the
-     * sharer index inside attachCoherence, and its forced filter
-     * evictions drop live copies through backInvalidateLine.
-     */
-    void
-    wireCoherence()
-    {
-        caches_.attachCoherence(coherence_.get());
-        coherence_->attachBackInvalidator([this](Addr line, Cycles now) {
-            return caches_.backInvalidateLine(line, now);
-        });
-    }
-
     SspConfig cfg_;
     PhysMem mem_;
-    MemoryBus bus_;
     CacheHierarchy caches_;
     PageTable pt_;
-    std::unique_ptr<CoherenceModel> coherence_;
     ConflictManager conflicts_;
     std::vector<Tlb> tlbs_;
     std::vector<Cycles> clocks_;

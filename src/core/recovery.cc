@@ -42,8 +42,6 @@ verifyRecoveredState(SspSystem &sys)
             violate(report, tag.str() + "non-zero TLB refcount");
         if (e.coreRefCount != 0)
             violate(report, tag.str() + "non-zero core refcount");
-        if (e.consolidating)
-            violate(report, tag.str() + "marked consolidating");
         if (e.ppn0 == kInvalidPpn || e.ppn1 == kInvalidPpn)
             violate(report, tag.str() + "invalid physical page number");
 

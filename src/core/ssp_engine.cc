@@ -7,31 +7,30 @@
 namespace ssp
 {
 
-SspEngine::SspEngine(CoreId core, Machine &machine, MemController &mc)
-    : core_(core), machine_(&machine), mc_(&mc),
-      writeSet_(machine.cfg().writeSetEntries),
-      subPageLines_(machine.cfg().subPageLines)
+SspEngine::SspEngine(CoreId core, const SspConfig &cfg)
+    : core_(core), writeSet_(cfg.writeSetEntries),
+      subPageLines_(cfg.subPageLines)
 {
     ssp_assert(subPageLines_ > 0 && kLinesPerPage % subPageLines_ == 0,
                "sub-page granularity must divide the page");
 }
 
 void
-SspEngine::begin()
+SspEngine::begin(Machine &m, MemController &mc)
 {
     ssp_assert(!inTx_, "nested failure-atomic sections are not supported");
     inTx_ = true;
-    tid_ = mc_->beginTx();
+    tid_ = mc.beginTx();
     // ATOMIC_BEGIN acts as a full memory barrier.
-    machine_->clock(core_) += machine_->cfg().opCost;
-    machine_->conflicts().beginTx(core_, machine_->clock(core_));
+    m.clock(core_) += m.cfg().opCost;
+    m.conflicts().beginTx(core_, m.clock(core_));
 }
 
 Translation
-SspEngine::translate(Vpn vpn)
+SspEngine::translate(Machine &m, MemController &mc, Vpn vpn)
 {
-    Cycles &now = machine_->clock(core_);
-    Tlb &tlb = machine_->tlb(core_);
+    Cycles &now = m.clock(core_);
+    Tlb &tlb = m.tlb(core_);
 
     if (TlbEntry *hit = tlb.lookup(vpn))
         return Translation{hit->slot, hit->ppn0, hit->ppn1};
@@ -40,9 +39,9 @@ SspEngine::translate(Vpn vpn)
     // PPN0 as index), then fill the TLB.
     tlb.countMiss();
     ++stats_.tlbMisses;
-    now = machine_->pt().walk(now);
-    Ppn walked = machine_->pt().translate(vpn);
-    MetadataFetchResult fetched = mc_->fetchEntry(vpn, walked, now);
+    now = m.pt().walk(now);
+    Ppn walked = m.pt().translate(vpn);
+    MetadataFetchResult fetched = mc.fetchEntry(m, vpn, walked, now);
     now = fetched.doneAt;
 
     TlbEntry entry;
@@ -53,7 +52,7 @@ SspEngine::translate(Vpn vpn)
     entry.slot = fetched.sid;
     if (auto displaced = tlb.insert(entry)) {
         if (displaced->slot != kInvalidSlot)
-            mc_->tlbDeref(displaced->slot, now);
+            mc.tlbDeref(m, displaced->slot, now);
     }
     return Translation{fetched.sid, fetched.ppn0, fetched.ppn1};
 }
@@ -67,23 +66,24 @@ SspEngine::currentLineAddr(const SspCacheEntry &e, const Translation &tr,
 }
 
 void
-SspEngine::load(Addr vaddr, void *buf, std::uint64_t size)
+SspEngine::load(Machine &m, MemController &mc, Addr vaddr, void *buf,
+                std::uint64_t size)
 {
     auto *out = static_cast<std::uint8_t *>(buf);
-    Cycles &now = machine_->clock(core_);
+    Cycles &now = m.clock(core_);
     while (size > 0) {
         const std::uint64_t in_line =
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        Translation tr = translate(pageOf(vaddr));
-        const SspCacheEntry &e = mc_->cache().entry(tr.slot);
+        Translation tr = translate(m, mc, pageOf(vaddr));
+        const SspCacheEntry &e = mc.cache().entry(tr.slot);
         const unsigned li = lineIndexInPage(vaddr);
         const Addr loc = currentLineAddr(e, tr, li);
         const Cycles t0 = now;
-        now = machine_->caches().read(core_, loc, now);
-        now += machine_->cfg().opCost;
+        now = m.caches().read(core_, loc, now);
+        now += m.cfg().opCost;
         stats_.loadCycles += now - t0;
-        machine_->mem().read(loc + lineOffset(vaddr), out, in_line);
-        machine_->conflicts().recordRead(core_, vaddr);
+        m.mem().read(loc + lineOffset(vaddr), out, in_line);
+        m.conflicts().recordRead(core_, vaddr);
         ++stats_.loads;
         vaddr += in_line;
         out += in_line;
@@ -92,13 +92,14 @@ SspEngine::load(Addr vaddr, void *buf, std::uint64_t size)
 }
 
 void
-SspEngine::atomicStore(Addr vaddr, const void *buf, std::uint64_t size)
+SspEngine::atomicStore(Machine &m, MemController &mc, Addr vaddr,
+                       const void *buf, std::uint64_t size)
 {
     const auto *in = static_cast<const std::uint8_t *>(buf);
     while (size > 0) {
         const std::uint64_t in_line =
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        atomicStoreLine(vaddr, in, in_line);
+        atomicStoreLine(m, mc, vaddr, in, in_line);
         vaddr += in_line;
         in += in_line;
         size -= in_line;
@@ -106,19 +107,20 @@ SspEngine::atomicStore(Addr vaddr, const void *buf, std::uint64_t size)
 }
 
 void
-SspEngine::atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size)
+SspEngine::atomicStoreLine(Machine &m, MemController &mc, Addr vaddr,
+                           const void *buf, std::uint64_t size)
 {
     ssp_assert(inTx_, "ATOMIC_STORE outside a failure-atomic section");
     ssp_assert(fitsInLine(vaddr, size));
 
-    Cycles &now = machine_->clock(core_);
+    Cycles &now = m.clock(core_);
     const Cycles store_t0 = now;
     const Vpn vpn = pageOf(vaddr);
     const unsigned li = lineIndexInPage(vaddr);
-    machine_->conflicts().recordWrite(core_, vaddr);
+    m.conflicts().recordWrite(core_, vaddr);
 
-    Translation tr = translate(vpn);
-    SspCacheEntry &e = mc_->cache().entry(tr.slot);
+    Translation tr = translate(m, mc, vpn);
+    SspCacheEntry &e = mc.cache().entry(tr.slot);
 
     WriteSetEntry *ws = writeSet_.find(vpn);
     const bool first_touch_of_page = (ws == nullptr);
@@ -128,10 +130,10 @@ SspEngine::atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size)
             ++stats_.overflows;
             // Bounded hardware is exhausted: the paper aborts and takes
             // the software fall-back.  Roll back and report.
-            abort();
+            abort(m, mc);
             throw TxOverflow("write-set buffer overflow");
         }
-        mc_->coreRef(tr.slot);
+        mc.coreRef(tr.slot);
     }
 
     const unsigned bit = bitOf(li);
@@ -158,40 +160,38 @@ SspEngine::atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size)
              g < (bit + 1) * subPageLines_; ++g) {
             const Addr old_loc = lineAddr(old_ppn, g);
             const Addr new_loc = lineAddr(new_ppn, g);
-            now = machine_->caches().read(core_, old_loc, now); // fetch
-            machine_->mem().copyLine(new_loc, old_loc); // in-cache CoW
-            machine_->caches().remapLine(core_, old_loc, new_loc, now);
+            now = m.caches().read(core_, old_loc, now); // fetch
+            m.mem().copyLine(new_loc, old_loc); // in-cache CoW
+            m.caches().remapLine(core_, old_loc, new_loc, now);
             // Peer copies of the remapped-away line are stale: they tag
             // a physical location whose committed data just moved.  The
             // flip broadcast shoots them down so they can never be
             // written back to — or re-read at — the old PPN.
-            peer_mask |=
-                machine_->caches().invalidateLineRemote(core_, old_loc);
+            peer_mask |= m.caches().invalidateLineRemote(core_, old_loc);
             // The copies must be dirty so commit writes the whole
             // sub-page to its new location.
-            machine_->caches().write(core_, new_loc, now);
-            machine_->caches().setTxBit(core_, new_loc, true);
+            m.caches().write(core_, new_loc, now);
+            m.caches().setTxBit(core_, new_loc, true);
         }
-        mc_->flipCurrent(tr.slot, bit);
-        now = machine_->coherence().flipCurrentBit(core_, flip_loc,
-                                                  peer_mask, now);
-        machine_->chargeShootdown(core_, flip_loc, peer_mask);
+        mc.flipCurrent(tr.slot, bit);
+        now = m.coherence().flipCurrentBit(core_, flip_loc, peer_mask, now);
+        m.chargeShootdown(core_, flip_loc, peer_mask);
         ws->updated.set(bit);
     }
 
     const Addr loc = currentLineAddr(e, tr, li);
-    machine_->mem().write(loc + lineOffset(vaddr), buf, size);
-    now = machine_->caches().write(core_, loc, now);
-    now += machine_->cfg().opCost;
+    m.mem().write(loc + lineOffset(vaddr), buf, size);
+    now = m.caches().write(core_, loc, now);
+    now += m.cfg().opCost;
     stats_.storeCycles += now - store_t0;
     ++stats_.atomicStores;
 }
 
 void
-SspEngine::commit()
+SspEngine::commit(Machine &m, MemController &mc)
 {
     ssp_assert(inTx_, "commit outside a failure-atomic section");
-    Cycles &now = machine_->clock(core_);
+    Cycles &now = m.clock(core_);
     const Cycles commit_t0 = now;
 
     // Step 1 — data persistence: clwb every write-set line.  All flushes
@@ -199,9 +199,9 @@ SspEngine::commit()
     // parallelism).  Every line is flushed before any TX bit clears.
     flushBatch_.clear();
     for (const auto &ws : writeSet_.entries()) {
-        Translation tr{ws.slot, mc_->cache().entry(ws.slot).ppn0,
-                       mc_->cache().entry(ws.slot).ppn1};
-        const SspCacheEntry &e = mc_->cache().entry(ws.slot);
+        Translation tr{ws.slot, mc.cache().entry(ws.slot).ppn0,
+                       mc.cache().entry(ws.slot).ppn1};
+        const SspCacheEntry &e = mc.cache().entry(ws.slot);
         for (unsigned li = 0; li < kLinesPerPage; ++li) {
             if (!ws.updated.test(bitOf(li)))
                 continue;
@@ -210,42 +210,42 @@ SspEngine::commit()
     }
     Cycles flushed = now;
     for (const Addr loc : flushBatch_) {
-        flushed = std::max(flushed, machine_->caches().flushLine(
+        flushed = std::max(flushed, m.caches().flushLine(
                                         core_, loc, WriteCategory::Data, now));
     }
     for (const Addr loc : flushBatch_)
-        machine_->caches().setTxBit(core_, loc, false);
+        m.caches().setTxBit(core_, loc, false);
 
     // Step 2 — metadata updates: one metadata-update instruction per
     // modified page, ordered after data persistence.
     Cycles meta = flushed;
     for (const auto &ws : writeSet_.entries())
-        meta = std::max(meta, mc_->metadataUpdate(tid_, ws.slot, ws.updated,
-                                                 flushed));
+        meta = std::max(meta, mc.metadataUpdate(m, tid_, ws.slot, ws.updated,
+                                                flushed));
 
     // Step 3 — commit marker + journal flush; the ack point.
-    now = mc_->commitTx(tid_, meta);
+    now = mc.commitTx(m, tid_, meta);
 
     // Release per-page core references (the metadata update clears them
     // in hardware; we do it after the full commit sequence).
     for (const auto &ws : writeSet_.entries())
-        mc_->coreDeref(ws.slot);
+        mc.coreDeref(m, ws.slot);
 
     stats_.commitCycles += now - commit_t0;
     ++stats_.commits;
-    machine_->conflicts().commitTx(core_, now, machine_->minClock());
+    m.conflicts().commitTx(core_, now, m.minClock());
     writeSet_.clear();
     inTx_ = false;
 }
 
 void
-SspEngine::abort()
+SspEngine::abort(Machine &m, MemController &mc)
 {
     ssp_assert(inTx_, "abort outside a failure-atomic section");
-    Cycles &now = machine_->clock(core_);
+    Cycles &now = m.clock(core_);
 
     for (const auto &ws : writeSet_.entries()) {
-        SspCacheEntry &e = mc_->cache().entry(ws.slot);
+        SspCacheEntry &e = mc.cache().entry(ws.slot);
         for (unsigned bit = 0; bit < kLinesPerPage / subPageLines_;
              ++bit) {
             if (!ws.updated.test(bit))
@@ -255,25 +255,25 @@ SspEngine::abort()
             const Ppn spec_ppn = e.current.test(bit) ? e.ppn1 : e.ppn0;
             for (unsigned g = bit * subPageLines_;
                  g < (bit + 1) * subPageLines_; ++g) {
-                machine_->caches().invalidateLine(lineAddr(spec_ppn, g));
+                m.caches().invalidateLine(lineAddr(spec_ppn, g));
             }
-            mc_->flipCurrent(ws.slot, bit);
-            now = machine_->coherence().flipCurrentBit(
+            mc.flipCurrent(ws.slot, bit);
+            now = m.coherence().flipCurrentBit(
                 core_, lineAddr(spec_ppn, bit * subPageLines_),
                 CoreBitmap{}, now);
         }
-        mc_->coreDeref(ws.slot);
+        mc.coreDeref(m, ws.slot);
     }
     ++stats_.aborts;
-    machine_->conflicts().abortTx(core_);
+    m.conflicts().abortTx(core_);
     writeSet_.clear();
     inTx_ = false;
 }
 
 void
-SspEngine::reset()
+SspEngine::reset(Machine &m)
 {
-    machine_->conflicts().abortTx(core_);
+    m.conflicts().abortTx(core_);
     writeSet_.clear();
     inTx_ = false;
 }

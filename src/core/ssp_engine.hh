@@ -47,54 +47,46 @@ struct EngineStats
  * One core's SSP frontend.
  *
  * The engine owns the core's write-set buffer and drives the shared
- * machine (caches, TLB) and memory controller.  All operations advance
- * the core's clock in the Machine.
+ * machine (caches, TLB) and memory controller, which its owner hands
+ * to every operation.  All operations advance the core's clock in the
+ * Machine.
  */
 class SspEngine
 {
   public:
-    SspEngine(CoreId core, Machine &machine, MemController &mc);
-
-    /** Copy of @p other's per-core state, driving @p machine and @p mc. */
-    SspEngine(const SspEngine &other, Machine &machine, MemController &mc)
-        : SspEngine(other)
-    {
-        machine_ = &machine;
-        mc_ = &mc;
-    }
-
-    SspEngine &operator=(const SspEngine &) = delete;
+    SspEngine(CoreId core, const SspConfig &cfg);
 
     /** ATOMIC_BEGIN (full memory barrier; assigns the TID). */
-    void begin();
+    void begin(Machine &m, MemController &mc);
 
     /** ATOMIC_STORE of @p size bytes; splits across lines/pages. */
-    void atomicStore(Addr vaddr, const void *buf, std::uint64_t size);
+    void atomicStore(Machine &m, MemController &mc, Addr vaddr,
+                     const void *buf, std::uint64_t size);
 
     /** Timed load; sees the transaction's own speculative writes. */
-    void load(Addr vaddr, void *buf, std::uint64_t size);
+    void load(Machine &m, MemController &mc, Addr vaddr, void *buf,
+              std::uint64_t size);
 
     /** ATOMIC_END: flush write set, journal metadata, ack. */
-    void commit();
+    void commit(Machine &m, MemController &mc);
 
     /** Roll back the ongoing transaction. */
-    void abort();
+    void abort(Machine &m, MemController &mc);
 
     bool inTx() const { return inTx_; }
     const WriteSetBuffer &writeSet() const { return writeSet_; }
     const EngineStats &stats() const { return stats_; }
 
     /** Drop transient per-core state after a power failure. */
-    void reset();
+    void reset(Machine &m);
 
   private:
-    SspEngine(const SspEngine &) = default;
-
     /** Translate @p vpn, filling the TLB on a miss. */
-    Translation translate(Vpn vpn);
+    Translation translate(Machine &m, MemController &mc, Vpn vpn);
 
     /** Atomic store confined to one cache line. */
-    void atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size);
+    void atomicStoreLine(Machine &m, MemController &mc, Addr vaddr,
+                         const void *buf, std::uint64_t size);
 
     /** Tracking-bit index for line @p li (sub-page granularity). */
     unsigned bitOf(unsigned li) const { return li / subPageLines_; }
@@ -104,8 +96,6 @@ class SspEngine
                          unsigned li) const;
 
     CoreId core_;
-    Machine *machine_;
-    MemController *mc_;
     WriteSetBuffer writeSet_;
     /** Commit-time scratch: the write-set line addresses, flushed
      *  before their TX bits clear.  Member so the allocation amortizes

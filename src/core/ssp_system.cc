@@ -5,10 +5,13 @@
 namespace ssp
 {
 
-SspSystem::SspSystem(const SspConfig &cfg)
+namespace
 {
-    machine_ = std::make_unique<Machine>(cfg);
 
+/** The memory controller @p cfg describes. */
+MemControllerParams
+controllerParams(const SspConfig &cfg)
+{
     MemControllerParams mcp;
     mcp.sspCacheSlots = cfg.effectiveSspSlots();
     mcp.shadowPoolBase = cfg.shadowPoolBase();
@@ -42,76 +45,70 @@ SspSystem::SspSystem(const SspConfig &cfg)
                   static_cast<unsigned long long>(cfg.shadowPoolPages),
                   mcp.sspCacheSlots);
     }
-    mc_ = std::make_unique<MemController>(mcp, machine_->bus(),
-                                          machine_->pt());
-
-    for (CoreId c = 0; c < cfg.numCores; ++c)
-        engines_.push_back(std::make_unique<SspEngine>(c, *machine_, *mc_));
+    return mcp;
 }
 
-SspSystem::SspSystem(const SspSystem &other)
-    : machine_(std::make_unique<Machine>(*other.machine_)),
-      mc_(std::make_unique<MemController>(*other.mc_, machine_->bus(),
-                                          machine_->pt())),
-      charz_(other.charz_)
+} // namespace
+
+SspSystem::SspSystem(const SspConfig &cfg)
+    : machine_(cfg), mc_(controllerParams(cfg))
 {
-    for (const auto &eng : other.engines_)
-        engines_.push_back(
-            std::make_unique<SspEngine>(*eng, *machine_, *mc_));
+    for (CoreId c = 0; c < cfg.numCores; ++c)
+        engines_.emplace_back(c, cfg);
 }
 
 std::unique_ptr<AtomicityBackend>
 SspSystem::clone() const
 {
-    return std::unique_ptr<AtomicityBackend>(new SspSystem(*this));
+    return std::make_unique<SspSystem>(*this);
 }
 
 void
 SspSystem::mapHeapPage(Vpn vpn, Ppn ppn)
 {
-    ssp_assert(ppn < machine_->cfg().heapPages,
+    ssp_assert(ppn < machine_.cfg().heapPages,
                "heap page outside the heap region");
-    machine_->pt().map(vpn, ppn);
+    machine_.pt().map(vpn, ppn);
 }
 
 void
 SspSystem::begin(CoreId core)
 {
-    engines_[core]->begin();
+    engines_[core].begin(machine_, mc_);
 }
 
 void
 SspSystem::commit(CoreId core)
 {
-    SspEngine &eng = *engines_[core];
+    SspEngine &eng = engines_[core];
     charz_.linesPerTx.sample(eng.writeSet().totalLines());
     charz_.pagesPerTx.sample(eng.writeSet().size());
-    eng.commit();
+    eng.commit(machine_, mc_);
 }
 
 void
 SspSystem::abort(CoreId core)
 {
-    engines_[core]->abort();
+    engines_[core].abort(machine_, mc_);
 }
 
 bool
 SspSystem::inTx(CoreId core) const
 {
-    return engines_[core]->inTx();
+    return engines_[core].inTx();
 }
 
 void
 SspSystem::load(CoreId core, Addr vaddr, void *buf, std::uint64_t size)
 {
-    engines_[core]->load(vaddr, buf, size);
+    engines_[core].load(machine_, mc_, vaddr, buf, size);
 }
 
 void
 SspSystem::store(CoreId core, Addr vaddr, const void *buf,
                  std::uint64_t size)
 {
-    engines_[core]->atomicStore(vaddr, buf, size);
+    engines_[core].atomicStore(machine_, mc_, vaddr, buf, size);
 }
 
 void
@@ -124,19 +121,19 @@ SspSystem::storeRaw(Addr vaddr, const void *buf, std::uint64_t size)
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
         const Vpn vpn = pageOf(vaddr);
         const unsigned li = lineIndexInPage(vaddr);
-        const unsigned bit = li / machine_->cfg().subPageLines;
+        const unsigned bit = li / machine_.cfg().subPageLines;
         Ppn ppn;
-        SlotId sid = mc_->cache().findSlot(vpn);
+        SlotId sid = mc_.cache().findSlot(vpn);
         if (sid != kInvalidSlot) {
-            const SspCacheEntry &e = mc_->cache().entry(sid);
+            const SspCacheEntry &e = mc_.cache().entry(sid);
             ppn = e.committed.test(bit) ? e.ppn1 : e.ppn0;
             ssp_assert(e.current == e.committed,
                        "storeRaw during an open transaction");
         } else {
-            ppn = machine_->pt().translate(vpn);
+            ppn = machine_.pt().translate(vpn);
         }
-        machine_->mem().write(lineAddr(ppn, li) + lineOffset(vaddr), in,
-                              in_line);
+        machine_.mem().write(lineAddr(ppn, li) + lineOffset(vaddr), in,
+                             in_line);
         vaddr += in_line;
         in += in_line;
         size -= in_line;
@@ -152,17 +149,17 @@ SspSystem::loadRaw(Addr vaddr, void *buf, std::uint64_t size)
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
         const Vpn vpn = pageOf(vaddr);
         const unsigned li = lineIndexInPage(vaddr);
-        const unsigned bit = li / machine_->cfg().subPageLines;
+        const unsigned bit = li / machine_.cfg().subPageLines;
         Ppn ppn;
-        SlotId sid = mc_->cache().findSlot(vpn);
+        SlotId sid = mc_.cache().findSlot(vpn);
         if (sid != kInvalidSlot) {
-            const SspCacheEntry &e = mc_->cache().entry(sid);
+            const SspCacheEntry &e = mc_.cache().entry(sid);
             ppn = e.current.test(bit) ? e.ppn1 : e.ppn0;
         } else {
-            ppn = machine_->pt().translate(vpn);
+            ppn = machine_.pt().translate(vpn);
         }
-        machine_->mem().read(lineAddr(ppn, li) + lineOffset(vaddr), out,
-                             in_line);
+        machine_.mem().read(lineAddr(ppn, li) + lineOffset(vaddr), out,
+                            in_line);
         vaddr += in_line;
         out += in_line;
         size -= in_line;
@@ -174,14 +171,14 @@ SspSystem::committedLocation(Addr vaddr)
 {
     const Vpn vpn = pageOf(vaddr);
     const unsigned li = lineIndexInPage(vaddr);
-    const unsigned bit = li / machine_->cfg().subPageLines;
-    SlotId sid = mc_->cache().findSlot(vpn);
+    const unsigned bit = li / machine_.cfg().subPageLines;
+    SlotId sid = mc_.cache().findSlot(vpn);
     Ppn ppn;
     if (sid != kInvalidSlot) {
-        const SspCacheEntry &e = mc_->cache().entry(sid);
+        const SspCacheEntry &e = mc_.cache().entry(sid);
         ppn = e.committed.test(bit) ? e.ppn1 : e.ppn0;
     } else {
-        ppn = machine_->pt().translate(vpn);
+        ppn = machine_.pt().translate(vpn);
     }
     return lineAddr(ppn, li) + lineOffset(vaddr);
 }
@@ -191,31 +188,31 @@ SspSystem::crash()
 {
     // Volatile state disappears: caches, TLBs, DRAM, the transient SSP
     // cache, per-core write sets, the unpersisted journal tail.
-    machine_->powerFail();
-    mc_->powerFail();
-    for (auto &eng : engines_)
-        eng->reset();
+    machine_.powerFail();
+    mc_.powerFail();
+    for (SspEngine &eng : engines_)
+        eng.reset(machine_);
 }
 
 void
 SspSystem::recover()
 {
-    mc_->recover();
+    mc_.recover(machine_);
 }
 
 std::uint64_t
 SspSystem::loggingWrites() const
 {
-    return machine_->bus().nvramWrites(WriteCategory::MetaJournal) +
-           machine_->bus().nvramWrites(WriteCategory::Checkpoint);
+    return machine_.bus().nvramWrites(WriteCategory::MetaJournal) +
+           machine_.bus().nvramWrites(WriteCategory::Checkpoint);
 }
 
 std::uint64_t
 SspSystem::committedTxs() const
 {
     std::uint64_t n = 0;
-    for (const auto &eng : engines_)
-        n += eng->stats().commits;
+    for (const SspEngine &eng : engines_)
+        n += eng.stats().commits;
     return n;
 }
 

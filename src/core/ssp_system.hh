@@ -6,6 +6,10 @@
  * and implements the AtomicityBackend interface used by workloads,
  * tests and benches.  This is the paper's full design: shadow sub-paging
  * with metadata journaling and page consolidation.
+ *
+ * All three parts are held by value, and the controller and engines
+ * are handed the machine on each call, so clone() is the compiler's
+ * copy.
  */
 
 #ifndef SSP_CORE_SSP_SYSTEM_HH
@@ -29,8 +33,6 @@ class SspSystem : public AtomicityBackend
   public:
     explicit SspSystem(const SspConfig &cfg);
 
-    SspSystem &operator=(const SspSystem &) = delete;
-
     /** Map a persistent virtual page (identity-mapped heap setup). */
     void mapHeapPage(Vpn vpn, Ppn ppn);
 
@@ -49,7 +51,7 @@ class SspSystem : public AtomicityBackend
     void loadRaw(Addr vaddr, void *buf, std::uint64_t size) override;
     void crash() override;
     void recover() override;
-    Machine &machine() override { return *machine_; }
+    Machine &machine() override { return machine_; }
     std::uint64_t loggingWrites() const override;
     std::uint64_t committedTxs() const override;
     const TxCharacterization &characterization() const override
@@ -58,9 +60,9 @@ class SspSystem : public AtomicityBackend
     }
 
     // SSP-specific accessors ----------------------------------------------
-    MemController &controller() { return *mc_; }
-    SspEngine &engine(CoreId core) { return *engines_[core]; }
-    const SspConfig &cfg() const { return machine_->cfg(); }
+    MemController &controller() { return mc_; }
+    SspEngine &engine(CoreId core) { return engines_[core]; }
+    const SspConfig &cfg() const { return machine_.cfg(); }
 
     /**
      * Debug/test hook: the physical location currently holding the
@@ -69,11 +71,9 @@ class SspSystem : public AtomicityBackend
     Addr committedLocation(Addr vaddr);
 
   private:
-    SspSystem(const SspSystem &other);
-
-    std::unique_ptr<Machine> machine_;
-    std::unique_ptr<MemController> mc_;
-    std::vector<std::unique_ptr<SspEngine>> engines_;
+    Machine machine_;
+    MemController mc_;
+    std::vector<SspEngine> engines_;
     TxCharacterization charz_;
 };
 

@@ -18,14 +18,6 @@ DirectoryCoherence::DirectoryCoherence(unsigned num_cores,
 {
 }
 
-std::unique_ptr<CoherenceModel>
-DirectoryCoherence::clone() const
-{
-    auto copy = std::make_unique<DirectoryCoherence>(*this);
-    copy->backInvalidate_ = nullptr;
-    return copy;
-}
-
 Cycles
 DirectoryCoherence::transact(CoreId sender, Addr line,
                              const CoreBitmap &peers, Cycles now)
@@ -94,63 +86,50 @@ DirectoryCoherence::shootdownReceiverCost(CoreId receiver, Addr line) const
 void
 DirectoryCoherence::lineCached(Addr line)
 {
-    TileFilter &f = filters_[mesh_.homeTile(line)];
-    auto it = f.map.find(line);
-    if (it != f.map.end()) {
-        // Already tracked: touch to most-recently-used.
-        f.lru.splice(f.lru.begin(), f.lru, it->second);
+    LruSet<Addr> &filter = filters_[mesh_.homeTile(line)];
+    // An already tracked line is touched to most-recently-used.
+    if (filter.touch(line) || filterCapacity_ == 0 ||
+        filter.size() <= filterCapacity_) {
         return;
     }
-    f.lru.push_front(line);
-    f.map.emplace(line, f.lru.begin());
-    if (filterCapacity_ == 0 || f.map.size() <= filterCapacity_)
-        return;
     // Capacity exceeded: evict the LRU line.  Inclusion demands its
-    // live sharer copies be dropped, but this callback runs inside a
-    // cache fill — queue the back-invalidation for the post-access
-    // drain instead of re-entering the tag arrays here.
-    const Addr victim = f.lru.back();
-    f.map.erase(victim);
-    f.lru.pop_back();
+    // live sharer copies be dropped, but this runs inside a cache fill
+    // — queue the back-invalidation for the post-access drain instead
+    // of re-entering the tag arrays here.
+    pendingBackInvals_.push_back(filter.popLru());
     ++filterEvictions_;
-    pendingBackInvals_.push_back(victim);
 }
 
 void
 DirectoryCoherence::lineUncached(Addr line)
 {
-    TileFilter &f = filters_[mesh_.homeTile(line)];
-    auto it = f.map.find(line);
-    if (it == f.map.end())
-        return;
-    f.lru.erase(it->second);
-    f.map.erase(it);
+    filters_[mesh_.homeTile(line)].erase(line);
+}
+
+bool
+DirectoryCoherence::takeBackInvalidation(Addr &line)
+{
+    if (pendingBackInvals_.empty())
+        return false;
+    line = pendingBackInvals_.back();
+    pendingBackInvals_.pop_back();
+    return true;
 }
 
 void
-DirectoryCoherence::drainMaintenance(Cycles now)
+DirectoryCoherence::chargeBackInvalidation(Addr line,
+                                           const CoreBitmap &dropped)
 {
-    while (!pendingBackInvals_.empty()) {
-        const Addr victim = pendingBackInvals_.back();
-        pendingBackInvals_.pop_back();
-        ssp_assert(backInvalidate_,
-                   "directory snoop filter evicted a line with no "
-                   "back-invalidator attached");
-        // Dropping the copies fires lineUncached (the filter entry is
-        // already gone) and may write back dirty data — both safe here,
-        // outside any in-flight access.
-        const CoreBitmap dropped = backInvalidate_(victim, now);
-        const unsigned home = mesh_.homeTile(victim);
-        std::uint64_t dropped_hops = 0;
-        std::uint64_t dropped_count = 0;
-        dropped.forEachSet([&](CoreId core) {
-            dropped_hops += 2 * mesh_.distance(home, mesh_.tileOf(core));
-            ++dropped_count;
-        });
-        backInvals_ += dropped_count;
-        countMessages(2 * dropped_count);
-        hopTraversalCycles_ += hopCycles_ * dropped_hops;
-    }
+    const unsigned home = mesh_.homeTile(line);
+    std::uint64_t dropped_hops = 0;
+    std::uint64_t dropped_count = 0;
+    dropped.forEachSet([&](CoreId core) {
+        dropped_hops += 2 * mesh_.distance(home, mesh_.tileOf(core));
+        ++dropped_count;
+    });
+    backInvals_ += dropped_count;
+    countMessages(2 * dropped_count);
+    hopTraversalCycles_ += hopCycles_ * dropped_hops;
 }
 
 void
@@ -159,10 +138,8 @@ DirectoryCoherence::powerFail()
     // The filters are home-tile SRAM: volatile, like the caches whose
     // contents they mirror.  Pending evictions die with the copies they
     // would have dropped.
-    for (TileFilter &f : filters_) {
-        f.lru.clear();
-        f.map.clear();
-    }
+    for (LruSet<Addr> &filter : filters_)
+        filter.clear();
     pendingBackInvals_.clear();
 }
 

@@ -14,54 +14,41 @@
  *
  * Sharer tracking is bounded the way real directories bound it: each
  * home tile owns a capacity-limited snoop filter (an LRU over tracked
- * lines, fed by the SharerIndex listener hook).  Filling a new line
- * into a full filter evicts the LRU line, and the eviction forces a
- * back-invalidation of the victim's live sharer copies — the inclusion
- * property that lets the filter stay authoritative (JETTY, HPCA '01;
- * the SGI Origin's directory plays the same role, ISCA '97).  Because
- * the listener fires mid-fill, evictions are queued and drained by the
- * hierarchy after the access completes (drainMaintenance), never
- * re-entering the cache arrays.
+ * lines, fed by the hierarchy's sharer-index updates).  Filling a new
+ * line into a full filter evicts the LRU line, and the eviction forces
+ * a back-invalidation of the victim's live sharer copies — the
+ * inclusion property that lets the filter stay authoritative (JETTY,
+ * HPCA '01; the SGI Origin's directory plays the same role, ISCA '97).
+ * Because fills report mid-access, evictions are queued here, and the
+ * hierarchy drains them after the access completes
+ * (takeBackInvalidation), never re-entering the cache arrays.
  */
 
 #ifndef SSP_INTERCONNECT_DIRECTORY_HH
 #define SSP_INTERCONNECT_DIRECTORY_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/coherence.hh"
-#include "cache/sharer_index.hh"
+#include "common/lru_set.hh"
 #include "interconnect/mesh.hh"
 
 namespace ssp
 {
 
 /** Mesh directory cost model (see file doc). */
-class DirectoryCoherence final : public CoherenceModel,
-                                 public SharerListener
+class DirectoryCoherence final : public CoherenceModel
 {
   public:
     DirectoryCoherence(unsigned num_cores, const CoherenceParams &params);
 
     // ---- CoherenceModel ------------------------------------------------
-    std::unique_ptr<CoherenceModel> clone() const override;
     Cycles flipCurrentBit(CoreId sender, Addr line, const CoreBitmap &peers,
                           Cycles now) override;
     Cycles invalidate(CoreId sender, Addr line, const CoreBitmap &peers,
                       Cycles now) override;
     Cycles shootdownReceiverCost(CoreId receiver, Addr line) const override;
-
-    SharerListener *sharerListener() override { return this; }
-    void
-    attachBackInvalidator(BackInvalidateFn fn) override
-    {
-        backInvalidate_ = std::move(fn);
-    }
-    bool needsMaintenance() const override { return true; }
-    void drainMaintenance(Cycles now) override;
     void powerFail() override;
 
     std::uint64_t directoryLookups() const override { return lookups_; }
@@ -77,9 +64,23 @@ class DirectoryCoherence final : public CoherenceModel,
     }
     std::uint64_t backInvalidations() const override { return backInvals_; }
 
-    // ---- SharerListener ------------------------------------------------
-    void lineCached(Addr line) override;
-    void lineUncached(Addr line) override;
+    // ---- snoop filter ---------------------------------------------------
+    /** A private cache gained a copy of @p line (called on every fill). */
+    void lineCached(Addr line);
+
+    /** The last private-cache copy of @p line was dropped. */
+    void lineUncached(Addr line);
+
+    /**
+     * Take the most recent filter victim whose private copies must
+     * still be dropped.
+     * @return false when no back-invalidation is pending.
+     */
+    bool takeBackInvalidation(Addr &line);
+
+    /** Price the back-invalidation of @p line, whose private copies
+     *  were dropped at the cores in @p dropped. */
+    void chargeBackInvalidation(Addr line, const CoreBitmap &dropped);
 
     const MeshGeometry &mesh() const { return mesh_; }
 
@@ -87,31 +88,10 @@ class DirectoryCoherence final : public CoherenceModel,
     std::size_t
     filterSize(unsigned tile) const
     {
-        return filters_[tile].map.size();
+        return filters_[tile].size();
     }
 
   private:
-    /**
-     * Per-home-tile snoop filter: LRU list of tracked lines, most
-     * recently touched at the front, plus the line -> list-node map.
-     */
-    struct TileFilter
-    {
-        std::list<Addr> lru;
-        std::unordered_map<Addr, std::list<Addr>::iterator> map;
-
-        TileFilter() = default;
-        TileFilter(TileFilter &&) = default;
-        /** A copy whose map points into its own list.  The map is
-         *  copied, not rebuilt, so its bucket layout — and with it any
-         *  iteration order — matches @p other's. */
-        TileFilter(const TileFilter &other) : lru(other.lru), map(other.map)
-        {
-            for (auto it = lru.begin(); it != lru.end(); ++it)
-                map.find(*it)->second = it;
-        }
-    };
-
     /**
      * Price one directory transaction from @p sender for @p line with
      * invalidations multicast to @p peers; returns the sender's
@@ -125,10 +105,10 @@ class DirectoryCoherence final : public CoherenceModel,
     Cycles lookupCycles_;
     unsigned filterCapacity_; ///< tracked lines per tile; 0 = unbounded
 
-    std::vector<TileFilter> filters_;
+    /** Per-home-tile snoop filter: the tracked lines in LRU order. */
+    std::vector<LruSet<Addr>> filters_;
     /** Evicted lines awaiting back-invalidation at the next drain. */
     std::vector<Addr> pendingBackInvals_;
-    BackInvalidateFn backInvalidate_;
 
     std::uint64_t lookups_ = 0;
     std::uint64_t hopTraversalCycles_ = 0;

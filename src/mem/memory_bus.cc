@@ -30,14 +30,15 @@ writeCategoryName(WriteCategory cat)
     }
 }
 
-MemoryBus::MemoryBus(PhysMem &mem, const MemSystemParams &params)
-    : mem_(&mem),
+MemoryBus::MemoryBus(const PhysMem &mem, const MemSystemParams &params)
+    : nvramPages_(mem.nvramPages()),
       dram_(params.dram, params.dramChannels, params.interleave),
       nvram_(params.nvram, params.nvramChannels, params.interleave)
 {
 }
 
-MemoryBus::MemoryBus(PhysMem &mem, const MemTimingParams &dram_params,
+MemoryBus::MemoryBus(const PhysMem &mem,
+                     const MemTimingParams &dram_params,
                      const MemTimingParams &nvram_params)
     : MemoryBus(mem, MemSystemParams{dram_params, nvram_params, 1, 1,
                                      InterleaveGranularity::Line})
@@ -47,7 +48,7 @@ MemoryBus::MemoryBus(PhysMem &mem, const MemTimingParams &dram_params,
 Cycles
 MemoryBus::issueRead(Addr line_addr, Cycles now)
 {
-    if (mem_->isNvramAddr(line_addr)) {
+    if (isNvramAddr(line_addr)) {
         ++nvramReads_;
         return nvram_.access(line_addr, false, now);
     }
@@ -59,7 +60,7 @@ Cycles
 MemoryBus::issueWrite(Addr line_addr, WriteCategory cat, Cycles now,
                       bool background)
 {
-    if (mem_->isNvramAddr(line_addr)) {
+    if (isNvramAddr(line_addr)) {
         ++nvramWriteCount_[static_cast<unsigned>(cat)];
         return nvram_.access(line_addr, true, now, background);
     }

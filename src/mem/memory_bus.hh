@@ -54,19 +54,12 @@ const char *writeCategoryName(WriteCategory cat);
 class MemoryBus
 {
   public:
-    MemoryBus(PhysMem &mem, const MemSystemParams &params);
+    /** A bus routing by @p mem's NVRAM/DRAM boundary. */
+    MemoryBus(const PhysMem &mem, const MemSystemParams &params);
 
     /** Single-channel convenience form (the paper's channel pair). */
-    MemoryBus(PhysMem &mem, const MemTimingParams &dram_params,
+    MemoryBus(const PhysMem &mem, const MemTimingParams &dram_params,
               const MemTimingParams &nvram_params);
-
-    /** Copy of @p other's timing state and counters over @p mem. */
-    MemoryBus(const MemoryBus &other, PhysMem &mem) : MemoryBus(other)
-    {
-        mem_ = &mem;
-    }
-
-    MemoryBus &operator=(const MemoryBus &) = delete;
 
     /** Issue a line read; returns completion time. */
     Cycles issueRead(Addr line_addr, Cycles now);
@@ -99,7 +92,6 @@ class MemoryBus
     MemChannelGroup &nvramGroup() { return nvram_; }
     const MemChannelGroup &dramGroup() const { return dram_; }
     const MemChannelGroup &nvramGroup() const { return nvram_; }
-    PhysMem &mem() { return *mem_; }
 
     /** Zero all traffic counters (timing state is kept). */
     void resetStats();
@@ -108,9 +100,10 @@ class MemoryBus
     void resetTiming();
 
   private:
-    MemoryBus(const MemoryBus &) = default;
+    /** True if @p addr lies in the NVRAM region (below the boundary). */
+    bool isNvramAddr(Addr addr) const { return pageOf(addr) < nvramPages_; }
 
-    PhysMem *mem_;
+    std::uint64_t nvramPages_;
     MemChannelGroup dram_;
     MemChannelGroup nvram_;
     std::array<std::uint64_t,

@@ -22,10 +22,9 @@ JournalRecord::sizeBytes() const
     return 40;
 }
 
-MetadataJournal::MetadataJournal(MemoryBus &bus, Addr base_addr,
-                                 std::uint64_t capacity_bytes,
+MetadataJournal::MetadataJournal(Addr base_addr, std::uint64_t capacity_bytes,
                                  std::uint64_t checkpoint_threshold)
-    : bus_(&bus), baseAddr_(base_addr), capacityBytes_(capacity_bytes),
+    : baseAddr_(base_addr), capacityBytes_(capacity_bytes),
       checkpointThreshold_(checkpoint_threshold)
 {
     ssp_assert(capacity_bytes >= 4 * kLineSize);
@@ -35,7 +34,8 @@ MetadataJournal::MetadataJournal(MemoryBus &bus, Addr base_addr,
 }
 
 void
-MetadataJournal::append(const JournalRecord &rec, Cycles now)
+MetadataJournal::append(MemoryBus &bus, const JournalRecord &rec,
+                        Cycles now)
 {
     if (headBytes_ + rec.sizeBytes() > capacityBytes_) {
         // The checkpointing thread normally keeps us far from the end;
@@ -51,11 +51,11 @@ MetadataJournal::append(const JournalRecord &rec, Cycles now)
     // Stream out lines that are now full; nobody stalls on these.
     const std::uint64_t full_lines = headBytes_ / kLineSize * kLineSize;
     if (full_lines > persistedBytes_)
-        persistUpTo(full_lines, now, false);
+        persistUpTo(bus, full_lines, now, false);
 }
 
 Cycles
-MetadataJournal::persistUpTo(std::uint64_t upto, Cycles now,
+MetadataJournal::persistUpTo(MemoryBus &bus, std::uint64_t upto, Cycles now,
                              bool force_partial)
 {
     // Array writes happen once per journal line: the tail line combines
@@ -69,9 +69,9 @@ MetadataJournal::persistUpTo(std::uint64_t upto, Cycles now,
     Cycles done = now;
     bool wrote = false;
     for (std::uint64_t line = countedLines_; line < last_line; ++line) {
-        Cycles t = bus_->issueWrite(baseAddr_ + line * kLineSize,
-                                   WriteCategory::MetaJournal, now,
-                                   !force_partial);
+        Cycles t = bus.issueWrite(baseAddr_ + line * kLineSize,
+                                  WriteCategory::MetaJournal, now,
+                                  !force_partial);
         ++lineWrites_;
         done = std::max(done, t);
         wrote = true;
@@ -94,12 +94,12 @@ MetadataJournal::persistUpTo(std::uint64_t upto, Cycles now,
 }
 
 Cycles
-MetadataJournal::flush(Cycles now)
+MetadataJournal::flush(MemoryBus &bus, Cycles now)
 {
     ++flushes_;
     if (persistedBytes_ >= headBytes_)
         return now;
-    return persistUpTo(headBytes_, now, true);
+    return persistUpTo(bus, headBytes_, now, true);
 }
 
 bool

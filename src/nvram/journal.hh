@@ -20,6 +20,10 @@
  *
  * Crash model: everything up to persistedBytes() survives a power
  * failure; the rest of the buffer is lost.
+ *
+ * The journal holds no link to the memory bus: its owner passes the bus
+ * to every call that writes lines, so a copy of the journal is a
+ * complete journal.
  */
 
 #ifndef SSP_NVRAM_JOURNAL_HH
@@ -78,34 +82,25 @@ class MetadataJournal
 {
   public:
     /**
-     * @param bus Memory bus used to issue journal write-backs.
      * @param base_addr NVRAM byte address of the journal area.
      * @param capacity_bytes Size of the journal area.
      * @param checkpoint_threshold Persisted bytes that trigger a
      *        checkpoint request (bounds recovery time).
      */
-    MetadataJournal(MemoryBus &bus, Addr base_addr,
-                    std::uint64_t capacity_bytes,
+    MetadataJournal(Addr base_addr, std::uint64_t capacity_bytes,
                     std::uint64_t checkpoint_threshold);
 
-    /** Copy of @p other's records and cursors, writing through @p bus. */
-    MetadataJournal(const MetadataJournal &other, MemoryBus &bus)
-        : MetadataJournal(other)
-    {
-        bus_ = &bus;
-    }
-
-    MetadataJournal &operator=(const MetadataJournal &) = delete;
-
     /** Append a record to the log buffer (volatile until flushed).
-     *  Full log-buffer lines are streamed to NVRAM as they fill. */
-    void append(const JournalRecord &rec, Cycles now);
+     *  Full log-buffer lines are streamed to NVRAM over @p bus as they
+     *  fill. */
+    void append(MemoryBus &bus, const JournalRecord &rec, Cycles now);
 
     /**
-     * Persist the buffer up to and including the last appended record.
+     * Persist the buffer up to and including the last appended record,
+     * writing the lines over @p bus.
      * @return Completion time of the last line write (commit stall).
      */
-    Cycles flush(Cycles now);
+    Cycles flush(MemoryBus &bus, Cycles now);
 
     /** True when a checkpoint should run (journal grew past threshold). */
     bool needsCheckpoint() const;
@@ -135,12 +130,10 @@ class MetadataJournal
     std::uint64_t lineWrites() const { return lineWrites_; }
 
   private:
-    MetadataJournal(const MetadataJournal &) = default;
-
     /** Persist whole lines up to byte offset @p upto. */
-    Cycles persistUpTo(std::uint64_t upto, Cycles now, bool force_partial);
+    Cycles persistUpTo(MemoryBus &bus, std::uint64_t upto, Cycles now,
+                       bool force_partial);
 
-    MemoryBus *bus_;
     Addr baseAddr_;
     std::uint64_t capacityBytes_;
     std::uint64_t checkpointThreshold_;

@@ -4,20 +4,16 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "core/machine.hh"
 
 namespace ssp
 {
 
-MemController::MemController(const MemControllerParams &params,
-                             MemoryBus &bus, PageTable &pt)
-    : params_(params), bus_(bus), pt_(pt),
-      cache_(params.sspCacheSlots, params.latency),
-      journal_(bus, params.journalBase, params.journalBytes,
+MemController::MemController(const MemControllerParams &params)
+    : params_(params), cache_(params.sspCacheSlots, params.latency),
+      journal_(params.journalBase, params.journalBytes,
                params.checkpointThresholdBytes),
-      pool_(params.shadowPoolBase, params.shadowPoolPages),
-      consolidator_(cache_, journal_, pt_, bus, pool_,
-                    params.subPageLines),
-      consolidateDoneAt_(params.sspCacheSlots, 0)
+      pool_(params.shadowPoolBase, params.shadowPoolPages)
 {
     if (params_.persistentCacheBytes == 0) {
         params_.persistentCacheBase = params_.journalBase;
@@ -26,22 +22,8 @@ MemController::MemController(const MemControllerParams &params,
     }
 }
 
-MemController::MemController(const MemController &other, MemoryBus &bus,
-                             PageTable &pt)
-    : params_(other.params_), bus_(bus), pt_(pt), cache_(other.cache_),
-      journal_(other.journal_, bus), pool_(other.pool_),
-      consolidator_(other.consolidator_, cache_, journal_, pt, bus, pool_),
-      nextTid_(other.nextTid_), checkpoints_(other.checkpoints_),
-      metadataUpdates_(other.metadataUpdates_),
-      canceledConsolidations_(other.canceledConsolidations_),
-      wearRotations_(other.wearRotations_), quarantine_(other.quarantine_),
-      pending_(other.pending_), pendingSet_(other.pendingSet_),
-      consolidateDoneAt_(other.consolidateDoneAt_)
-{
-}
-
 MetadataFetchResult
-MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
+MemController::fetchEntry(Machine &m, Vpn vpn, Ppn ppn0, Cycles now)
 {
     MetadataFetchResult res;
     SlotId sid = cache_.findSlot(vpn);
@@ -56,7 +38,7 @@ MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
     if (sid == kInvalidSlot) {
         if (params_.lazyConsolidation &&
             pool_.available() < params_.lazyLowWatermark) {
-            drainPending(now, false);
+            drainPending(m, now, false);
         }
         SspCacheEntry displaced;
         sid = cache_.allocateSlot(vpn, &displaced);
@@ -72,13 +54,11 @@ MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
             free_rec.vpn = displaced.vpn;
             free_rec.ppn0 = displaced.ppn0;
             free_rec.ppn1 = displaced.ppn1;
-            journal_.append(free_rec, now);
+            journal_.append(m.bus(), free_rec, now);
             quarantine_.emplace_back(displaced.ppn1,
                                      journal_.appendedBytes());
         }
-        if (sid >= consolidateDoneAt_.size())
-            consolidateDoneAt_.resize(sid + 1, 0);
-        reclaimQuarantine(now);
+        reclaimQuarantine(m, now);
         SspCacheEntry &e = cache_.entry(sid);
         e.ppn0 = ppn0;
         e.ppn1 = pool_.allocate();
@@ -104,18 +84,18 @@ MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
 }
 
 void
-MemController::tlbDeref(SlotId sid, Cycles now)
+MemController::tlbDeref(Machine &m, SlotId sid, Cycles now)
 {
     SspCacheEntry &e = cache_.entry(sid);
     ssp_assert(e.valid, "tlbDeref on invalid slot");
     ssp_assert(e.tlbRefCount > 0, "tlbRefCount underflow");
     e.tlbRefCount--;
     if (e.tlbRefCount == 0)
-        maybeConsolidate(sid, now);
+        maybeConsolidate(m, sid, now);
 }
 
 void
-MemController::maybeConsolidate(SlotId sid, Cycles now)
+MemController::maybeConsolidate(Machine &m, SlotId sid, Cycles now)
 {
     SspCacheEntry &e = cache_.entry(sid);
     // A page written by an in-flight transaction (non-zero core
@@ -128,19 +108,18 @@ MemController::maybeConsolidate(SlotId sid, Cycles now)
         if (pendingSet_.insert(sid).second)
             pending_.push_back(sid);
         if (pool_.available() < params_.lazyLowWatermark)
-            drainPending(now, false);
+            drainPending(m, now, false);
         return;
     }
-    consolidateNow(sid, now);
+    consolidateNow(m, sid, now);
 }
 
 void
-MemController::consolidateNow(SlotId sid, Cycles now)
+MemController::consolidateNow(Machine &m, SlotId sid, Cycles now)
 {
-    auto res = consolidator_.consolidate(sid, now);
-    consolidateDoneAt_[sid] = res.doneAt;
+    consolidate(m, sid, now);
     if (params_.wearRotatePeriod != 0 &&
-        consolidator_.consolidations() % params_.wearRotatePeriod == 0) {
+        consolidations_ % params_.wearRotatePeriod == 0) {
         // Swap the now-idle shadow page for a fresh pool page.  The
         // mapping change is journaled like a consolidation so recovery
         // sees a consistent PPN1.
@@ -157,13 +136,83 @@ MemController::consolidateNow(SlotId sid, Cycles now)
             rec.ppn0 = e.ppn0;
             rec.ppn1 = e.ppn1;
             rec.committed = e.committed;
-            journal_.append(rec, now);
+            journal_.append(m.bus(), rec, now);
         }
     }
 }
 
 void
-MemController::reclaimQuarantine(Cycles now)
+MemController::consolidate(Machine &m, SlotId sid, Cycles now)
+{
+    SspCacheEntry &e = cache_.entry(sid);
+    ssp_assert(e.valid, "consolidating an invalid slot");
+    ssp_assert(e.tlbRefCount == 0, "consolidating a TLB-referenced page");
+    ssp_assert(e.coreRefCount == 0, "consolidating a page with an "
+                                    "in-flight transaction");
+    // Quiescent pages must have current == committed: every transaction
+    // that flipped current bits either committed (committed caught up) or
+    // aborted (current flipped back).
+    ssp_assert(e.current == e.committed,
+               "inactive page has divergent current/committed bitmaps");
+
+    ++consolidations_;
+    const unsigned in_p1 = e.committed.popcount();
+    if (in_p1 == 0) {
+        // Everything already lives in P0 — pure metadata refresh, no
+        // copies and nothing to journal (durable state is unchanged).
+        copiedLines_.sample(0);
+        return;
+    }
+
+    // Copy the minority side's sub-pages over to the majority's page:
+    // P1's committed lines into P0, or P0's into P1 — after which the
+    // page roles swap so the consolidated page becomes the new P0.
+    const unsigned sub_page = params_.subPageLines;
+    const unsigned num_bits = static_cast<unsigned>(kLinesPerPage / sub_page);
+    const bool keep_p1 = in_p1 > num_bits / 2;
+    const Ppn dst = keep_p1 ? e.ppn1 : e.ppn0;
+    const Ppn src = keep_p1 ? e.ppn0 : e.ppn1;
+    Cycles done = now;
+    unsigned copied = 0;
+    for (unsigned bit = 0; bit < num_bits; ++bit) {
+        if (e.committed.test(bit) == keep_p1)
+            continue;
+        for (unsigned g = bit * sub_page; g < (bit + 1) * sub_page; ++g) {
+            m.mem().copyLine(lineAddr(dst, g), lineAddr(src, g));
+            done = std::max(done, m.bus().issueWrite(
+                                      lineAddr(dst, g),
+                                      WriteCategory::Consolidation, now,
+                                      true));
+            ++copied;
+        }
+    }
+    if (keep_p1)
+        std::swap(e.ppn0, e.ppn1);
+
+    // Durable switch: journal the new mapping + cleared committed
+    // bitmap.  The record may persist lazily: until it does, recovery
+    // simply sees the old state, which the copies above left fully
+    // intact (they only overwrote non-committed lines).  The freed
+    // shadow page is not reused before the record is durable.
+    e.committed = Bitmap64{};
+    e.current = Bitmap64{};
+    JournalRecord rec;
+    rec.kind = JournalKind::Consolidate;
+    rec.tid = 0;
+    rec.sid = sid;
+    rec.vpn = e.vpn;
+    rec.ppn0 = e.ppn0;
+    rec.ppn1 = e.ppn1;
+    rec.committed = e.committed;
+    journal_.append(m.bus(), rec, done);
+
+    // OS page-table update (reads after this walk straight to P0).
+    m.pt().map(e.vpn, e.ppn0);
+    copiedLines_.sample(copied);
+}
+
+void
+MemController::reclaimQuarantine(Machine &m, Cycles now)
 {
     auto ripe = [this](const std::pair<Ppn, std::uint64_t> &q) {
         return q.second <= journal_.persistedBytes();
@@ -172,7 +221,7 @@ MemController::reclaimQuarantine(Cycles now)
         !ripe(quarantine_.front())) {
         // Rare: the pool is dry and the oldest quarantined page's Free
         // record has not streamed out yet — force the flush.
-        journal_.flush(now);
+        journal_.flush(m.bus(), now);
     }
     while (!quarantine_.empty() && ripe(quarantine_.front())) {
         pool_.release(quarantine_.front().first);
@@ -181,7 +230,7 @@ MemController::reclaimQuarantine(Cycles now)
 }
 
 void
-MemController::drainPending(Cycles now, bool all)
+MemController::drainPending(Machine &m, Cycles now, bool all)
 {
     while (!pending_.empty() &&
            (all || pool_.available() < params_.lazyLowWatermark)) {
@@ -198,7 +247,7 @@ MemController::drainPending(Cycles now, bool all)
             ++canceledConsolidations_;
             continue; // already consolidated
         }
-        consolidateNow(sid, now);
+        consolidateNow(m, sid, now);
     }
 }
 
@@ -211,14 +260,14 @@ MemController::coreRef(SlotId sid)
 }
 
 void
-MemController::coreDeref(SlotId sid)
+MemController::coreDeref(Machine &m, SlotId sid)
 {
     SspCacheEntry &e = cache_.entry(sid);
     ssp_assert(e.valid);
     ssp_assert(e.coreRefCount > 0, "coreRefCount underflow");
     e.coreRefCount--;
     if (e.coreRefCount == 0 && e.tlbRefCount == 0)
-        maybeConsolidate(sid, 0);
+        maybeConsolidate(m, sid, 0);
 }
 
 void
@@ -231,8 +280,8 @@ MemController::flipCurrent(SlotId sid, unsigned line_idx)
 }
 
 Cycles
-MemController::metadataUpdate(TxId tid, SlotId sid, Bitmap64 updated,
-                              Cycles now)
+MemController::metadataUpdate(Machine &m, TxId tid, SlotId sid,
+                              Bitmap64 updated, Cycles now)
 {
     ++metadataUpdates_;
     SspCacheEntry &e = cache_.entry(sid);
@@ -246,7 +295,7 @@ MemController::metadataUpdate(TxId tid, SlotId sid, Bitmap64 updated,
     rec.ppn0 = e.ppn0;
     rec.ppn1 = e.ppn1;
     rec.committed = e.committed ^ updated;
-    journal_.append(rec, now);
+    journal_.append(m.bus(), rec, now);
 
     // Apply to the transient entry.  This is safe before the commit
     // marker persists because checkpoints only run at commit boundaries,
@@ -257,15 +306,15 @@ MemController::metadataUpdate(TxId tid, SlotId sid, Bitmap64 updated,
 }
 
 Cycles
-MemController::commitTx(TxId tid, Cycles now)
+MemController::commitTx(Machine &m, TxId tid, Cycles now)
 {
     JournalRecord rec;
     rec.kind = JournalKind::Commit;
     rec.tid = tid;
-    journal_.append(rec, now);
-    Cycles done = journal_.flush(now);
+    journal_.append(m.bus(), rec, now);
+    Cycles done = journal_.flush(m.bus(), now);
     if (journal_.needsCheckpoint())
-        checkpoint(done);
+        checkpoint(m, done);
     return done;
 }
 
@@ -276,7 +325,7 @@ MemController::accessSlot(SlotId sid, Cycles now)
 }
 
 void
-MemController::checkpoint(Cycles now)
+MemController::checkpoint(Machine &m, Cycles now)
 {
     ++checkpoints_;
     // Capture the final state of every slot the journal touched.
@@ -308,7 +357,7 @@ MemController::checkpoint(Cycles now)
             params_.persistentCacheBase +
             (static_cast<Addr>(sid) * kLineSize) %
                 params_.persistentCacheBytes;
-        bus_.issueWrite(slot_line, WriteCategory::Checkpoint, now, true);
+        m.bus().issueWrite(slot_line, WriteCategory::Checkpoint, now, true);
     }
     journal_.truncate();
     // The checkpoint made every journal record durable, so all
@@ -324,14 +373,13 @@ MemController::powerFail()
 {
     cache_.powerFail();
     journal_.powerFail();
-    consolidateDoneAt_.assign(consolidateDoneAt_.size(), 0);
     pending_.clear();
     pendingSet_.clear();
     quarantine_.clear();
 }
 
 void
-MemController::recover()
+MemController::recover(Machine &m)
 {
     // 1. Reload transient entries from the persistent cache.
     for (SlotId sid = 0;
@@ -371,8 +419,6 @@ MemController::recover()
             // The slot never made it into a checkpoint; the journal
             // record is its only durable trace.
             sid = cache_.allocateSlot(rec.vpn);
-            if (sid >= consolidateDoneAt_.size())
-                consolidateDoneAt_.resize(sid + 1, 0);
         }
         SspCacheEntry &e = cache_.entry(sid);
         e.ppn0 = rec.ppn0;
@@ -381,7 +427,6 @@ MemController::recover()
         e.current = rec.committed;
         e.tlbRefCount = 0;
         e.coreRefCount = 0;
-        e.consolidating = false;
     }
 
     // 3. current := committed is enforced by reload/replay above.
@@ -390,7 +435,7 @@ MemController::recover()
     std::unordered_set<Ppn> owned;
     for (SlotId sid : cache_.validSlots()) {
         const SspCacheEntry &e = cache_.entry(sid);
-        pt_.map(e.vpn, e.ppn0);
+        m.pt().map(e.vpn, e.ppn0);
         owned.insert(e.ppn0);
         owned.insert(e.ppn1);
     }
@@ -400,7 +445,7 @@ MemController::recover()
     //    the end of the reserved range that is neither page-table-mapped
     //    nor owned by a live slot.
     std::unordered_set<Ppn> used = owned;
-    pt_.forEachEntry([&](Vpn, Ppn ppn) { used.insert(ppn); });
+    m.pt().forEachEntry([&](Vpn, Ppn ppn) { used.insert(ppn); });
     std::vector<Ppn> free_list;
     const Ppn universe_end = params_.shadowPoolBase + params_.shadowPoolPages;
     for (Ppn ppn = 0; ppn < universe_end; ++ppn) {

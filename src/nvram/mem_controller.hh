@@ -9,6 +9,21 @@
  * operations: fetching a page's metadata on a TLB miss, broadcasting
  * flip-current-bit on first transactional writes, and issuing metadata
  * update instructions at commit.
+ *
+ * Page consolidation (paper sections 3.4 and 4.1.2): when a virtual
+ * page's TLB reference count drops to zero the page is inactive; its
+ * committed lines are scattered across P0 and P1 and must be merged
+ * into one physical page so the other can be reused.  The controller
+ * counts the committed bitmap to find the minority side, copies only
+ * those lines, journals the resulting mapping change (new PPN0,
+ * committed bitmap all-zero) and updates the page table.  It is the
+ * only place SSP writes data twice, and it runs off the critical path:
+ * the copies occupy NVRAM banks but no core stalls on them.
+ *
+ * The controller is a plain value: it holds no link to the machine it
+ * serves.  Every operation that touches memory, the bus or the page
+ * table takes that Machine from its caller, so a copy of the
+ * controller is a complete, independent controller.
  */
 
 #ifndef SSP_NVRAM_MEM_CONTROLLER_HH
@@ -21,15 +36,14 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/memory_bus.hh"
-#include "nvram/consolidation.hh"
 #include "nvram/free_pages.hh"
 #include "nvram/journal.hh"
 #include "nvram/ssp_cache.hh"
-#include "vm/page_table.hh"
 
 namespace ssp
 {
+
+class Machine;
 
 /** Configuration of the controller. */
 struct MemControllerParams
@@ -82,37 +96,26 @@ struct MetadataFetchResult
 class MemController
 {
   public:
-    MemController(const MemControllerParams &params, MemoryBus &bus,
-                  PageTable &pt);
-
-    /**
-     * Copy of @p other's full state — SSP cache, journal, page pool,
-     * consolidator, quarantine and lazy queue — working on @p bus and
-     * @p pt (the copied machine's).
-     */
-    MemController(const MemController &other, MemoryBus &bus,
-                  PageTable &pt);
-
-    MemController(const MemController &) = delete;
-    MemController &operator=(const MemController &) = delete;
+    explicit MemController(const MemControllerParams &params);
 
     /**
      * TLB-fill path: after the page walk produced @p ppn0, fetch (or
      * create) the SSP metadata for @p vpn and take a TLB reference.
-     * A page mid-consolidation delays the response until the copy
-     * completes (section 4.1.2).
+     * A page whose consolidation copies are still draining is served
+     * at once from the controller's buffers (section 4.1.2).
      */
-    MetadataFetchResult fetchEntry(Vpn vpn, Ppn ppn0, Cycles now);
+    MetadataFetchResult fetchEntry(Machine &m, Vpn vpn, Ppn ppn0,
+                                   Cycles now);
 
     /** A TLB evicted the translation: drop the reference; on zero, the
      *  page is inactive and is consolidated eagerly. */
-    void tlbDeref(SlotId sid, Cycles now);
+    void tlbDeref(Machine &m, SlotId sid, Cycles now);
 
     /** First transactional write to a page by a core in this tx. */
     void coreRef(SlotId sid);
 
     /** The page's metadata update (or abort) arrived from that core. */
-    void coreDeref(SlotId sid);
+    void coreDeref(Machine &m, SlotId sid);
 
     /** flip-current-bit for one line of a page. */
     void flipCurrent(SlotId sid, unsigned line_idx);
@@ -123,15 +126,15 @@ class MemController
      * @return completion time (journal append is buffered; the cost here
      *         is the SSP-cache access).
      */
-    Cycles metadataUpdate(TxId tid, SlotId sid, Bitmap64 updated,
-                          Cycles now);
+    Cycles metadataUpdate(Machine &m, TxId tid, SlotId sid,
+                          Bitmap64 updated, Cycles now);
 
     /**
      * Append the commit marker and force the journal to NVRAM; the
      * transaction is durable when this returns.  May trigger a
      * checkpoint afterwards (off the critical path).
      */
-    Cycles commitTx(TxId tid, Cycles now);
+    Cycles commitTx(Machine &m, TxId tid, Cycles now);
 
     /** Allocate a fresh transaction ID. */
     TxId beginTx() { return nextTid_++; }
@@ -143,7 +146,7 @@ class MemController
      * Checkpoint now: capture the final durable state of every slot the
      * journal touched into the persistent SSP cache, then truncate.
      */
-    void checkpoint(Cycles now);
+    void checkpoint(Machine &m, Cycles now);
 
     /** Simulated power failure (volatile halves vanish). */
     void powerFail();
@@ -154,12 +157,16 @@ class MemController
      * transactions, reset current := committed, fix the page table and
      * rebuild the free pool.
      */
-    void recover();
+    void recover(Machine &m);
 
     SspCache &cache() { return cache_; }
     MetadataJournal &journal() { return journal_; }
-    Consolidator &consolidator() { return consolidator_; }
     FreePagePool &pool() { return pool_; }
+
+    /** Pages consolidated so far. */
+    std::uint64_t consolidations() const { return consolidations_; }
+    /** Lines copied per consolidation. */
+    const StatSummary &copiedLines() const { return copiedLines_; }
 
     std::uint64_t checkpoints() const { return checkpoints_; }
     std::uint64_t metadataUpdates() const { return metadataUpdates_; }
@@ -176,27 +183,32 @@ class MemController
 
   private:
     /** Consolidate an inactive slot, or queue it (lazy policy). */
-    void maybeConsolidate(SlotId sid, Cycles now);
+    void maybeConsolidate(Machine &m, SlotId sid, Cycles now);
 
     /** Run one consolidation now, with wear rotation when due. */
-    void consolidateNow(SlotId sid, Cycles now);
+    void consolidateNow(Machine &m, SlotId sid, Cycles now);
+
+    /**
+     * Merge slot @p sid's committed lines into one physical page (see
+     * file doc).  @pre the slot's TLB and core reference counts are 0.
+     */
+    void consolidate(Machine &m, SlotId sid, Cycles now);
 
     /** Lazy policy: drain pending consolidations while the pool is low
      *  (or fully, when @p all is set). */
-    void drainPending(Cycles now, bool all);
+    void drainPending(Machine &m, Cycles now, bool all);
 
     /** Move quarantined pages whose Free records are durable into the
      *  pool; force a journal flush only when the pool is empty. */
-    void reclaimQuarantine(Cycles now);
+    void reclaimQuarantine(Machine &m, Cycles now);
 
     MemControllerParams params_;
-    MemoryBus &bus_;
-    PageTable &pt_;
     SspCache cache_;
     MetadataJournal journal_;
     FreePagePool pool_;
-    Consolidator consolidator_;
     TxId nextTid_ = 1;
+    std::uint64_t consolidations_ = 0;
+    StatSummary copiedLines_;
     std::uint64_t checkpoints_ = 0;
     std::uint64_t metadataUpdates_ = 0;
     std::uint64_t canceledConsolidations_ = 0;
@@ -213,8 +225,6 @@ class MemController
     std::deque<SlotId> pending_;
     /** Slots currently queued (for O(1) membership/cancellation). */
     std::unordered_set<SlotId> pendingSet_;
-    /** Per-slot completion time of an in-flight consolidation. */
-    std::vector<Cycles> consolidateDoneAt_;
 };
 
 } // namespace ssp

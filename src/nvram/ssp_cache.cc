@@ -16,18 +16,6 @@ SspCache::SspCache(unsigned num_slots, const SspCacheLatencyParams &latency)
         freeSlots_.push_back(num_slots - 1 - i); // allocate low slots first
 }
 
-SspCache::SspCache(const SspCache &other)
-    : latency_(other.latency_), slots_(other.slots_),
-      persistent_(other.persistent_), byVpn_(other.byVpn_),
-      freeSlots_(other.freeSlots_), hotLru_(other.hotLru_),
-      hotIndex_(other.hotIndex_), hotHits_(other.hotHits_),
-      hotMisses_(other.hotMisses_)
-{
-    // Copied, not rebuilt, so the index's bucket layout matches.
-    for (auto it = hotLru_.begin(); it != hotLru_.end(); ++it)
-        hotIndex_.find(*it)->second = it;
-}
-
 SlotId
 SspCache::findSlot(Vpn vpn) const
 {
@@ -45,18 +33,14 @@ SspCache::allocateSlot(Vpn vpn, SspCacheEntry *evicted)
         for (SlotId sid = 0; sid < slots_.size(); ++sid) {
             SspCacheEntry &e = slots_[sid];
             if (e.valid && e.committed.none() && e.tlbRefCount == 0 &&
-                e.coreRefCount == 0 && !e.consolidating) {
+                e.coreRefCount == 0) {
                 if (evicted != nullptr)
                     *evicted = e;
                 byVpn_.erase(e.vpn);
                 persistent_[sid].valid = false;
                 e = SspCacheEntry{};
                 freeSlots_.push_back(sid);
-                auto hot = hotIndex_.find(sid);
-                if (hot != hotIndex_.end()) {
-                    hotLru_.erase(hot->second);
-                    hotIndex_.erase(hot);
-                }
+                hot_.erase(sid);
                 break;
             }
         }
@@ -88,11 +72,7 @@ SspCache::freeSlot(SlotId sid)
     byVpn_.erase(e.vpn);
     e = SspCacheEntry{};
     persistent_[sid].valid = false;
-    auto it = hotIndex_.find(sid);
-    if (it != hotIndex_.end()) {
-        hotLru_.erase(it->second);
-        hotIndex_.erase(it);
-    }
+    hot_.erase(sid);
     freeSlots_.push_back(sid);
 }
 
@@ -110,30 +90,20 @@ SspCache::entry(SlotId sid) const
     return slots_[sid];
 }
 
-void
+bool
 SspCache::touchHot(SlotId sid)
 {
-    auto it = hotIndex_.find(sid);
-    if (it != hotIndex_.end()) {
-        hotLru_.erase(it->second);
-    } else if (hotLru_.size() >= latency_.l3ResidentEntries) {
-        SlotId cold = hotLru_.back();
-        hotLru_.pop_back();
-        hotIndex_.erase(cold);
-    }
-    hotLru_.push_front(sid);
-    hotIndex_[sid] = hotLru_.begin();
+    if (!hot_.contains(sid) && hot_.size() >= latency_.l3ResidentEntries)
+        hot_.popLru();
+    return hot_.touch(sid);
 }
 
 Cycles
 SspCache::access(SlotId sid, Cycles now)
 {
-    if (latency_.fixedLatency != 0) {
-        touchHot(sid);
+    const bool hit = touchHot(sid);
+    if (latency_.fixedLatency != 0)
         return now + latency_.fixedLatency;
-    }
-    const bool hit = hotIndex_.contains(sid);
-    touchHot(sid);
     if (hit) {
         ++hotHits_;
         return now + latency_.hitLatency;
@@ -178,8 +148,7 @@ SspCache::powerFail()
     freeSlots_.clear();
     for (unsigned i = 0; i < slots_.size(); ++i)
         freeSlots_.push_back(static_cast<SlotId>(slots_.size() - 1 - i));
-    hotLru_.clear();
-    hotIndex_.clear();
+    hot_.clear();
 }
 
 void
@@ -198,7 +167,6 @@ SspCache::reloadFromPersistent(SlotId sid)
     e.current = p.committed; // section 4.4: current := committed
     e.tlbRefCount = 0;
     e.coreRefCount = 0;
-    e.consolidating = false;
     byVpn_[p.vpn] = sid;
     std::erase(freeSlots_, sid);
 }

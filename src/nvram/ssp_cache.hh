@@ -24,11 +24,11 @@
 #define SSP_NVRAM_SSP_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bitmap64.hh"
+#include "common/lru_set.hh"
 #include "common/types.hh"
 
 namespace ssp
@@ -49,8 +49,6 @@ struct SspCacheEntry
     std::uint32_t tlbRefCount = 0;
     /** Cores with un-committed transactional writes to this page. */
     std::uint32_t coreRefCount = 0;
-    /** Entry is queued for / undergoing consolidation. */
-    bool consolidating = false;
 };
 
 /** Durable image of a slot (what checkpoints write, recovery reads). */
@@ -90,11 +88,6 @@ class SspCache
      * @param latency Latency model parameters.
      */
     SspCache(unsigned num_slots, const SspCacheLatencyParams &latency);
-
-    /** A copy of both halves and the hot-set LRU order, its index
-     *  pointing into the copy's own list. */
-    SspCache(const SspCache &other);
-    SspCache &operator=(const SspCache &) = delete;
 
     /** Look up the slot for @p vpn; kInvalidSlot if absent. */
     SlotId findSlot(Vpn vpn) const;
@@ -148,7 +141,8 @@ class SspCache
     void reloadFromPersistent(SlotId sid);
 
   private:
-    void touchHot(SlotId sid);
+    /** Make @p sid most recently used; true when it was already hot. */
+    bool touchHot(SlotId sid);
 
     SspCacheLatencyParams latency_;
     std::vector<SspCacheEntry> slots_;
@@ -156,9 +150,8 @@ class SspCache
     std::unordered_map<Vpn, SlotId> byVpn_;
     std::vector<SlotId> freeSlots_;
 
-    // LRU hot set modeling the reserved L3 partition.
-    std::list<SlotId> hotLru_;
-    std::unordered_map<SlotId, std::list<SlotId>::iterator> hotIndex_;
+    /** LRU hot set modeling the reserved L3 partition. */
+    LruSet<SlotId> hot_;
     std::uint64_t hotHits_ = 0;
     std::uint64_t hotMisses_ = 0;
 };

@@ -11,14 +11,6 @@ PageTable::PageTable(Cycles walk_cycles, std::uint64_t dense_pages)
 {
 }
 
-PageTable::PageTable(const PageTable &other)
-    : walkCycles_(other.walkCycles_), densePages_(other.densePages_),
-      dense_(other.densePages_), overflow_(other.overflow_),
-      size_(other.size_)
-{
-    dense_.copyRange(other.dense_, 0, densePages_);
-}
-
 void
 PageTable::map(Vpn vpn, Ppn ppn)
 {

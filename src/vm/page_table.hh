@@ -43,10 +43,6 @@ class PageTable
      */
     explicit PageTable(Cycles walk_cycles, std::uint64_t dense_pages = 0);
 
-    /** A deep copy: every mapping, dense and spilled. */
-    PageTable(const PageTable &other);
-    PageTable &operator=(const PageTable &) = delete;
-
     /** Install or replace a mapping. */
     void map(Vpn vpn, Ppn ppn);
 

@@ -35,6 +35,18 @@ smallHierParams()
     return p;
 }
 
+/** A standalone @p cores-core hierarchy over @p mem, priced by the
+ *  broadcast coherence model. */
+CacheHierarchy
+makeHierarchy(unsigned cores, const PhysMem &mem)
+{
+    return CacheHierarchy(
+        cores, smallHierParams(),
+        MemoryBus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
+                  MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+        BroadcastCoherence(cores, 16));
+}
+
 TEST(Cache, MissThenHit)
 {
     Cache c(tinyCache(4, 4, 1));
@@ -123,17 +135,11 @@ TEST(Cache, InvalidateAll)
 class HierarchyTest : public ::testing::Test
 {
   protected:
-    HierarchyTest()
-        : mem(64, 16),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
-          hier(2, smallHierParams(), bus)
-    {
-    }
+    HierarchyTest() : mem(64, 16), hier(makeHierarchy(2, mem)) {}
 
     PhysMem mem;
-    MemoryBus bus;
     CacheHierarchy hier;
+    MemoryBus &bus = hier.bus();
 };
 
 TEST_F(HierarchyTest, ColdReadGoesToMemory)
@@ -205,13 +211,7 @@ class SharerIndexTest : public ::testing::Test
   protected:
     static constexpr unsigned kCores = 8; // >= kSharerIndexMinCores
 
-    SharerIndexTest()
-        : mem(64, 16),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
-          hier(kCores, smallHierParams(), bus)
-    {
-    }
+    SharerIndexTest() : mem(64, 16), hier(makeHierarchy(kCores, mem)) {}
 
     /** Brute-force ground truth the index must match exactly. */
     CoreBitmap
@@ -235,18 +235,14 @@ class SharerIndexTest : public ::testing::Test
     }
 
     PhysMem mem;
-    MemoryBus bus;
     mutable CacheHierarchy hier;
 };
 
 TEST_F(SharerIndexTest, IndexedOnlyAboveTheCutover)
 {
     EXPECT_TRUE(hier.sharerIndexed());
-    PhysMem m2(64, 16);
-    MemoryBus b2(m2, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-                 MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4});
-    CacheHierarchy small(CacheHierarchy::kSharerIndexMinCores - 1,
-                         smallHierParams(), b2);
+    const CacheHierarchy small =
+        makeHierarchy(CacheHierarchy::kSharerIndexMinCores - 1, mem);
     EXPECT_FALSE(small.sharerIndexed());
 }
 

@@ -2,9 +2,10 @@
  * @file
  * Clone tests: a cloned experiment, serve calibration or cluster runs
  * bit for bit like a fresh build, passes verify() and crash recovery,
- * and leaves its original untouched — and runSweep, which runs the
- * cells of a setup group on clones of one built state, reports exactly
- * what per-cell fresh runs report.
+ * and leaves its original untouched — also once the original is gone,
+ * so a clone holds nothing that points into it — and runSweep, which
+ * runs the cells of a setup group on clones of one built state,
+ * reports exactly what per-cell fresh runs report.
  */
 
 #include <string>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ssp_system.hh"
 #include "fault/fault_injector.hh"
 #include "serve/server.hh"
 #include "shard/cluster.hh"
@@ -43,8 +45,8 @@ smallScale(unsigned key_shards = 1)
  * that setup leaves them full: the run then evicts by LRU at every
  * level, so a clone that lost any replacement state diverges.  The
  * directory's snoop filter is kept small too, so setup and the run
- * both force back-invalidations — the path that goes through the
- * machine's rebound back-invalidator.
+ * both force back-invalidations, which the hierarchy drains from the
+ * directory model it holds.
  */
 SspConfig
 fourCoreConfig(CoherenceMode mode)
@@ -101,6 +103,18 @@ TEST_P(ExperimentClone, RunsLikeAFreshBuildAndLeavesTheOriginalIntact)
     EXPECT_TRUE(runExperiment(original, kTxs, 4) == want);
     EXPECT_TRUE(original.workload->verify());
     EXPECT_TRUE(verifyAfterCrash(original));
+
+    // Nor does a copy read through its original: one that outlives it
+    // still runs, verifies and recovers like a fresh build (a pointer
+    // left behind fails here as a heap-use-after-free under ASan).
+    Experiment orphan = [&] {
+        const Experiment source =
+            buildExperiment(backend, workload, cfg, scale);
+        return source.clone();
+    }();
+    EXPECT_TRUE(runExperiment(orphan, kTxs, 4) == want);
+    EXPECT_TRUE(orphan.workload->verify());
+    EXPECT_TRUE(verifyAfterCrash(orphan));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -232,7 +246,100 @@ TEST(ClusterClone, FaultInjectedReplicatedRunMatchesAFreshCluster)
             EXPECT_TRUE(copy.shard(m).workload->verify()) << m;
     }
     expectSameOutcome(runFaultyCluster(original), want);
+
+    // A copy that outlives its original runs, verifies and recovers
+    // like a fresh cluster.
+    shard::Cluster orphan = [&] {
+        const shard::Cluster source = make();
+        return source.clone();
+    }();
+    expectSameOutcome(runFaultyCluster(orphan), want);
+    for (unsigned m = 0; m < orphan.machines(); ++m) {
+        EXPECT_TRUE(orphan.shard(m).workload->verify()) << m;
+        EXPECT_TRUE(verifyAfterCrash(orphan.shard(m))) << m;
+    }
 }
+
+// ---- recovery-only state ---------------------------------------------------
+
+/**
+ * Leave a transaction open on @p exp's core 0 the way a power failure
+ * finds one: begun and holding a store to @p addr.  On SSP a second
+ * one is cut off mid-commit, after its metadata update for @p addr's
+ * line reached NVRAM and before its commit marker did.  Recovery must
+ * discard both; on SSP it tells them apart from committed work only by
+ * transaction ID.
+ */
+void
+openInterruptedTxs(Experiment &exp, Addr addr)
+{
+    const std::uint64_t value = 0xdead;
+    exp.backend->begin(0);
+    exp.backend->store(0, addr, &value, sizeof(value));
+    auto *ssp = dynamic_cast<SspSystem *>(exp.backend.get());
+    if (ssp == nullptr)
+        return;
+    MemController &mc = ssp->controller();
+    const SlotId sid = mc.cache().findSlot(pageOf(addr));
+    ASSERT_NE(sid, kInvalidSlot);
+    Bitmap64 updated;
+    updated.set(lineIndexInPage(addr));
+    mc.metadataUpdate(ssp->machine(), mc.beginTx(), sid, updated, 0);
+    mc.journal().flush(ssp->machine().bus(), 0);
+}
+
+class CloneRecovery : public ::testing::TestWithParam<BackendKind>
+{
+};
+
+TEST_P(CloneRecovery, InterruptedTxRecoversLikeAFreshBuild)
+{
+    // State that only recovery reads — transaction IDs above all —
+    // must carry over to a clone too: a clone whose IDs restarted would
+    // reuse the ID of a transaction whose commit marker is still in
+    // the journal, and recovery would commit its interrupted one.
+    const SspConfig cfg = smallConfig(1);
+    auto build = [&] {
+        Experiment exp = buildExperiment(GetParam(), WorkloadKind::Sps, cfg,
+                                         smallScale());
+        runExperiment(exp, 20, 1);
+        return exp;
+    };
+    Experiment fresh = build();
+    Experiment copy = [&] {
+        const Experiment source = build();
+        return source.clone();
+    }();
+
+    const Addr addr = kPageSize + 3 * kLineSize;
+    openInterruptedTxs(fresh, addr);
+    openInterruptedTxs(copy, addr);
+    for (Experiment *e : {&fresh, &copy}) {
+        e->backend->crash();
+        e->backend->recover();
+    }
+    EXPECT_TRUE(fresh.workload->verify());
+    EXPECT_TRUE(copy.workload->verify());
+    std::uint64_t want = 0;
+    std::uint64_t got = 0;
+    fresh.backend->loadRaw(addr, &want, sizeof(want));
+    copy.backend->loadRaw(addr, &got, sizeof(got));
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(runExperiment(copy, 60, 1) == runExperiment(fresh, 60, 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CloneRecovery,
+    ::testing::Values(BackendKind::Ssp, BackendKind::UndoLog,
+                      BackendKind::RedoLog, BackendKind::Shadow),
+    [](const ::testing::TestParamInfo<BackendKind> &info) {
+        std::string name = backendKindName(info.param);
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
 
 // ---- runSweep setup groups ------------------------------------------------
 
@@ -364,7 +471,7 @@ TEST(CacheClone, CopyHasTheSameLinesAndLruOrder)
         for (std::uint64_t way = 0; way < 24; ++way)
             cache.access(line(set, way), way % 3 == 0);
     }
-    Cache copy(cache, nullptr);
+    Cache copy(cache);
     EXPECT_EQ(copy.validLines(), cache.validLines());
     EXPECT_EQ(copy.hits(), cache.hits());
     EXPECT_EQ(copy.misses(), cache.misses());

@@ -168,7 +168,7 @@ TEST_F(ConsolidationTest, CopiedLineStatsTracked)
 {
     touchLines(26, {0, 1}, 9);
     evictFromTlb(26);
-    const auto &summary = sys->controller().consolidator().copiedLines();
+    const auto &summary = sys->controller().copiedLines();
     EXPECT_GT(summary.count(), 0u);
 }
 

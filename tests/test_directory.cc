@@ -230,7 +230,7 @@ TEST(DirectoryCost, SenderIsNeverItsOwnInvalidationTarget)
 
 // ---- snoop filter ---------------------------------------------------------
 
-/** Hierarchy + directory wired the way Machine wires them. */
+/** A hierarchy priced by the directory, as a directory Machine has. */
 class SnoopFilterTest : public ::testing::Test
 {
   protected:
@@ -238,15 +238,11 @@ class SnoopFilterTest : public ::testing::Test
 
     explicit SnoopFilterTest(unsigned filter_entries = 1)
         : mem(64, 16),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
-          hier(kCores, smallParams(), bus),
-          dir(kCores, directoryParams(filter_entries))
+          hier(kCores, smallParams(),
+               MemoryBus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
+                         MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+               DirectoryCoherence(kCores, directoryParams(filter_entries)))
     {
-        hier.attachCoherence(&dir);
-        dir.attachBackInvalidator([this](Addr line, Cycles now) {
-            return hier.backInvalidateLine(line, now);
-        });
     }
 
     static HierarchyParams
@@ -269,9 +265,10 @@ class SnoopFilterTest : public ::testing::Test
     }
 
     PhysMem mem;
-    MemoryBus bus;
     CacheHierarchy hier;
-    DirectoryCoherence dir;
+    MemoryBus &bus = hier.bus();
+    DirectoryCoherence &dir =
+        dynamic_cast<DirectoryCoherence &>(hier.coherence());
 };
 
 TEST_F(SnoopFilterTest, EvictionForcesBackInvalidationOfCleanCopies)
@@ -321,7 +318,6 @@ TEST_F(SnoopFilterTest, PowerFailClearsFiltersButKeepsCounters)
     ASSERT_GT(totalFilterSize(), 0u);
 
     hier.invalidateAll();
-    dir.powerFail();
     EXPECT_EQ(totalFilterSize(), 0u);
     // Counters are measurement state; they survive the failure.
     EXPECT_EQ(dir.snoopFilterEvictions(), 1u);
@@ -356,27 +352,24 @@ TEST_F(SnoopFilterLruTest, TouchKeepsRecentlyUsedLinesTracked)
 /**
  * The directory's invalidation targets are exactly the sharer index's
  * masks, so the index must stay brute-force-exact through every
- * mutation path at core counts past one bitmap word — with the
- * directory listener attached, since its filter bookkeeping rides the
- * same add/remove hooks.
+ * mutation path at core counts past one bitmap word — under the
+ * directory model, since its filter is fed by the same index updates.
  */
 void
 expectMasksMatchBruteForce(unsigned cores, unsigned steps,
                            std::uint64_t seed)
 {
     PhysMem mem(64, 16);
-    MemoryBus bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-                  MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4});
     HierarchyParams params;
     params.l1 = CacheParams{"l1", 1024, 2, 4};
     params.l2 = CacheParams{"l2", 4096, 4, 6};
     params.l3 = CacheParams{"l3", 16384, 4, 27};
-    CacheHierarchy hier(cores, params, bus);
-    DirectoryCoherence dir(cores, directoryParams(/*unbounded*/ 0));
-    hier.attachCoherence(&dir);
-    dir.attachBackInvalidator([&hier](Addr line, Cycles now) {
-        return hier.backInvalidateLine(line, now);
-    });
+    CacheHierarchy hier(
+        cores, params,
+        MemoryBus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
+                  MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+        DirectoryCoherence(cores, directoryParams(/*unbounded*/ 0)));
+    const auto &dir = dynamic_cast<DirectoryCoherence &>(hier.coherence());
 
     std::vector<Addr> lines;
     for (unsigned i = 0; i < 48; ++i)
@@ -426,10 +419,9 @@ expectMasksMatchBruteForce(unsigned cores, unsigned steps,
             break;
           case 5:
             if (rng.nextBool(0.02)) {
-                // Simulated power failure, machine-style: the caches
-                // and the volatile filter state die together.
+                // Simulated power failure: the caches and the
+                // volatile filter state die together.
                 hier.invalidateAll();
-                dir.powerFail();
             } else {
                 hier.read(core, line + kLineSize, step);
             }

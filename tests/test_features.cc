@@ -196,7 +196,7 @@ TEST_F(LazyConsolidationTest, PoolPressureDrainsQueue)
     EXPECT_GE(sys->controller().pool().available(), 1u);
     // Draining happened: either consolidation copies were made or
     // consolidated entries were recycled.
-    EXPECT_GT(sys->controller().consolidator().consolidations() +
+    EXPECT_GT(sys->controller().consolidations() +
                   sys->controller().canceledConsolidations(),
               0u);
     // And all data is still correct.

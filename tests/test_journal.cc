@@ -24,7 +24,7 @@ class JournalTest : public ::testing::Test
         : mem(64, 4),
           bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
               MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
-          journal(bus, 0, 16 * kPageSize, 8 * kPageSize)
+          journal(0, 16 * kPageSize, 8 * kPageSize)
     {
     }
 
@@ -64,7 +64,7 @@ TEST_F(JournalTest, RecordSizes)
 
 TEST_F(JournalTest, NothingPersistedBeforeFlush)
 {
-    journal.append(update(1, 0, 0xff), 0);
+    journal.append(bus, update(1, 0, 0xff), 0);
     // 40 bytes < one line: nothing streamed yet.
     EXPECT_EQ(journal.persistedBytes(), 0u);
     EXPECT_TRUE(journal.persistedRecords().empty());
@@ -72,8 +72,8 @@ TEST_F(JournalTest, NothingPersistedBeforeFlush)
 
 TEST_F(JournalTest, FlushPersistsPartialLine)
 {
-    journal.append(update(1, 0, 0xff), 0);
-    const Cycles done = journal.flush(0);
+    journal.append(bus, update(1, 0, 0xff), 0);
+    const Cycles done = journal.flush(bus, 0);
     EXPECT_GT(done, 0u);
     EXPECT_GE(journal.persistedBytes(), 40u);
     EXPECT_EQ(journal.persistedRecords().size(), 1u);
@@ -83,8 +83,8 @@ TEST_F(JournalTest, FlushPersistsPartialLine)
 TEST_F(JournalTest, FullLinesStreamWithoutFlush)
 {
     // Two 40-byte records cross the first 64-byte line boundary.
-    journal.append(update(1, 0, 1), 0);
-    journal.append(update(1, 1, 2), 0);
+    journal.append(bus, update(1, 0, 1), 0);
+    journal.append(bus, update(1, 1, 2), 0);
     EXPECT_EQ(journal.persistedBytes(), 64u);
     // Only the first record is fully inside the persisted line.
     EXPECT_EQ(journal.persistedRecords().size(), 1u);
@@ -92,9 +92,9 @@ TEST_F(JournalTest, FullLinesStreamWithoutFlush)
 
 TEST_F(JournalTest, PowerFailDropsUnpersistedTail)
 {
-    journal.append(update(1, 0, 1), 0);
-    journal.flush(0);
-    journal.append(update(2, 1, 2), 0);
+    journal.append(bus, update(1, 0, 1), 0);
+    journal.flush(bus, 0);
+    journal.append(bus, update(2, 1, 2), 0);
     journal.powerFail();
     auto recs = journal.persistedRecords();
     ASSERT_EQ(recs.size(), 1u);
@@ -108,7 +108,7 @@ TEST_F(JournalTest, CheckpointThreshold)
     std::uint64_t appended = 0;
     TxId tid = 1;
     while (appended < target) {
-        journal.append(update(tid++, 0, 1), 0);
+        journal.append(bus, update(tid++, 0, 1), 0);
         appended += 40;
     }
     EXPECT_TRUE(journal.needsCheckpoint());
@@ -119,22 +119,22 @@ TEST_F(JournalTest, CheckpointThreshold)
 
 TEST_F(JournalTest, OverflowIsFatal)
 {
-    MetadataJournal tiny(bus, 0, 4 * kLineSize, 4 * kLineSize);
-    tiny.append(update(1, 0, 1), 0);
-    tiny.append(update(1, 1, 1), 0);
-    tiny.append(update(1, 2, 1), 0);
-    tiny.append(update(1, 3, 1), 0);
-    tiny.append(update(1, 4, 1), 0);
-    tiny.append(update(1, 5, 1), 0); // 240 bytes of 256
-    EXPECT_THROW(tiny.append(update(1, 6, 1), 0), std::runtime_error);
+    MetadataJournal tiny(0, 4 * kLineSize, 4 * kLineSize);
+    tiny.append(bus, update(1, 0, 1), 0);
+    tiny.append(bus, update(1, 1, 1), 0);
+    tiny.append(bus, update(1, 2, 1), 0);
+    tiny.append(bus, update(1, 3, 1), 0);
+    tiny.append(bus, update(1, 4, 1), 0);
+    tiny.append(bus, update(1, 5, 1), 0); // 240 bytes of 256
+    EXPECT_THROW(tiny.append(bus, update(1, 6, 1), 0), std::runtime_error);
 }
 
 TEST_F(JournalTest, RecordOrderPreserved)
 {
     for (unsigned i = 0; i < 10; ++i)
-        journal.append(update(i, i, i), 0);
-    journal.append(commitMarker(99), 0);
-    journal.flush(0);
+        journal.append(bus, update(i, i, i), 0);
+    journal.append(bus, commitMarker(99), 0);
+    journal.flush(bus, 0);
     auto recs = journal.persistedRecords();
     ASSERT_EQ(recs.size(), 11u);
     for (unsigned i = 0; i < 10; ++i)
@@ -151,7 +151,7 @@ class PersistLogTest : public ::testing::Test
         : mem(64, 4),
           bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
               MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
-          log(bus, 0, 16 * kPageSize, WriteCategory::UndoLog)
+          log(0, 16 * kPageSize, WriteCategory::UndoLog)
     {
     }
 
@@ -173,7 +173,7 @@ class PersistLogTest : public ::testing::Test
 
 TEST_F(PersistLogTest, SynchronousAppendIsDurableImmediately)
 {
-    const Cycles done = log.append(dataRec(1, 0x40), 0, true);
+    const Cycles done = log.append(bus, dataRec(1, 0x40), 0, true);
     EXPECT_GT(done, 0u);
     EXPECT_EQ(log.persistedRecords().size(), 1u);
     // An 80-byte record spans two lines.
@@ -182,10 +182,10 @@ TEST_F(PersistLogTest, SynchronousAppendIsDurableImmediately)
 
 TEST_F(PersistLogTest, AsyncAppendDoesNotStall)
 {
-    const Cycles done = log.append(dataRec(1, 0x40), 500, false);
+    const Cycles done = log.append(bus, dataRec(1, 0x40), 500, false);
     EXPECT_EQ(done, 500u); // no stall for the caller
     EXPECT_TRUE(log.persistedRecords().size() <= 1);
-    log.flush(500);
+    log.flush(bus, 500);
     EXPECT_EQ(log.persistedRecords().size(), 1u);
 }
 
@@ -198,7 +198,7 @@ TEST_F(PersistLogTest, CommitMarkerSize)
 
 TEST_F(PersistLogTest, TruncateResets)
 {
-    log.append(dataRec(1, 0), 0, true);
+    log.append(bus, dataRec(1, 0), 0, true);
     log.truncate();
     EXPECT_EQ(log.appendedBytes(), 0u);
     EXPECT_EQ(log.persistedBytes(), 0u);
@@ -207,8 +207,8 @@ TEST_F(PersistLogTest, TruncateResets)
 
 TEST_F(PersistLogTest, PowerFailKeepsDurablePrefix)
 {
-    log.append(dataRec(1, 0x40), 0, true);
-    log.append(dataRec(2, 0x80), 0, false); // tail, not yet durable
+    log.append(bus, dataRec(1, 0x40), 0, true);
+    log.append(bus, dataRec(2, 0x80), 0, false); // tail, not yet durable
     log.powerFail();
     auto recs = log.persistedRecords();
     // Record 2 may be partially covered by record 1's line flushes; it
@@ -219,11 +219,11 @@ TEST_F(PersistLogTest, PowerFailKeepsDurablePrefix)
 
 TEST_F(PersistLogTest, MutableRecordUpdatesPending)
 {
-    log.append(dataRec(1, 0x40), 0, false);
+    log.append(bus, dataRec(1, 0x40), 0, false);
     const std::size_t idx = log.lastIndex();
     if (!log.isPersisted(idx)) {
         log.mutableRecord(idx).data.assign(kLineSize, 0x77);
-        log.flush(0);
+        log.flush(bus, 0);
         EXPECT_EQ(log.persistedRecords()[0].data[0], 0x77);
     }
 }

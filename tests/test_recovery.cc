@@ -138,7 +138,7 @@ TEST_F(SspRecoveryTest, ConsolidatedPagesRecover)
     // Write pages, force consolidation via TLB pressure, crash.
     for (Vpn p = 30; p < 30 + 100; ++p)
         txWrite64(*sys, 0, pageBase(p) + 8, p * 3);
-    EXPECT_GT(sys->controller().consolidator().consolidations(), 0u);
+    EXPECT_GT(sys->controller().consolidations(), 0u);
     crashAndRecover();
     for (Vpn p = 30; p < 30 + 100; ++p)
         EXPECT_EQ(raw64(*sys, pageBase(p) + 8), p * 3);
@@ -156,10 +156,10 @@ TEST_F(SspRecoveryTest, PartialJournalFlushDiscardsTail)
     // Forge an uncommitted metadata update claiming line 1 moved.
     Bitmap64 updated;
     updated.set(1);
-    mc.metadataUpdate(9999, sid, updated, 0);
+    mc.metadataUpdate(sys->machine(), 9999, sid, updated, 0);
     // Flush the journal so the record itself is durable — but there is
     // no commit marker for tid 9999.
-    mc.journal().flush(0);
+    mc.journal().flush(sys->machine().bus(), 0);
 
     crashAndRecover();
     // The forged update must have been skipped: line 1 still reads 0.
