@@ -11,6 +11,41 @@ BaselineBase::BaselineBase(const SspConfig &cfg)
 }
 
 void
+BaselineBase::widen(unsigned num_cores)
+{
+    machine_.widen(num_cores);
+    tx_.resize(num_cores);
+    addCores();
+}
+
+void
+BaselineBase::carvePerCoreLogs(std::vector<PersistLog> &logs,
+                               WriteCategory category,
+                               bool line_padded) const
+{
+    const SspConfig &c = cfg();
+    // Line-align the per-core carve: at non-power-of-two core counts a
+    // plain division would misalign every region past the first.
+    const std::uint64_t per_core = lineBase(c.logBytes() / c.numCores);
+    ssp_assert(per_core > c.numCores * c.nvram.rowBufferBytes,
+               "log area too small for %u staggered per-core regions; "
+               "raise logPages",
+               c.numCores);
+    const std::uint64_t capacity =
+        per_core - c.numCores * c.nvram.rowBufferBytes;
+    for (unsigned core = 0; core < c.numCores; ++core) {
+        // Per-core log regions are staggered by one row so they map to
+        // different NVRAM banks (a real controller interleaves them).
+        const Addr base =
+            c.logBase() + core * per_core + core * c.nvram.rowBufferBytes;
+        if (core < logs.size())
+            logs[core].relocate(base, capacity);
+        else
+            logs.emplace_back(base, capacity, category, line_padded);
+    }
+}
+
+void
 BaselineBase::begin(CoreId core)
 {
     ssp_assert(!tx_[core].inTx, "nested failure-atomic sections");

@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "baselines/persist_log.hh"
 #include "core/backend.hh"
 #include "core/config.hh"
 #include "core/machine.hh"
@@ -49,6 +50,7 @@ class BaselineBase : public AtomicityBackend
   public:
     explicit BaselineBase(const SspConfig &cfg);
 
+    void widen(unsigned num_cores) final;
     void begin(CoreId core) override;
     bool inTx(CoreId core) const override;
     void load(CoreId core, Addr vaddr, void *buf,
@@ -87,6 +89,22 @@ class BaselineBase : public AtomicityBackend
 
     /** Subclass volatile-state reset on power failure. */
     virtual void onCrash() = 0;
+
+    /**
+     * Append the subclass's per-core parts up to cfg().numCores cores;
+     * its constructor and widen() both build them through here.
+     */
+    virtual void addCores() = 0;
+
+    /**
+     * Fit @p logs to one region of the log area per core at the
+     * machine's core count: existing logs (which must be empty, as they
+     * are between transactions) move to their region, missing ones are
+     * appended.  The geometry follows the core count, so widen()
+     * re-carves it.
+     */
+    void carvePerCoreLogs(std::vector<PersistLog> &logs,
+                          WriteCategory category, bool line_padded) const;
 
     /** Record a committed transaction's characterization. */
     void noteCommit(CoreId core);

@@ -16,11 +16,20 @@ constexpr Cycles kWpqAckCycles = 30;
 
 PersistLog::PersistLog(Addr base_addr, std::uint64_t capacity_bytes,
                        WriteCategory category, bool line_padded)
-    : baseAddr_(base_addr), capacityBytes_(capacity_bytes),
-      category_(category), linePadded_(line_padded)
+    : category_(category), linePadded_(line_padded)
 {
+    relocate(base_addr, capacity_bytes);
+}
+
+void
+PersistLog::relocate(Addr base_addr, std::uint64_t capacity_bytes)
+{
+    ssp_assert(records_.empty() && headBytes_ == 0,
+               "relocating a log that holds records");
     ssp_assert(lineOffset(base_addr) == 0);
     ssp_assert(capacity_bytes >= 4 * kLineSize);
+    baseAddr_ = base_addr;
+    capacityBytes_ = capacity_bytes;
 }
 
 Cycles

@@ -74,6 +74,12 @@ class PersistLog
                WriteCategory category, bool line_padded = false);
 
     /**
+     * Move the log, which must be empty, to a new region; its write
+     * counter stays.  The constructor places the log through here.
+     */
+    void relocate(Addr base_addr, std::uint64_t capacity_bytes);
+
+    /**
      * Append a record; its lines are written over @p bus.
      * @param persist_now Synchronous logging (undo): stall until the
      *        record's lines are in NVRAM.  Asynchronous logging (redo):
@@ -125,8 +131,8 @@ class PersistLog
     Cycles persistUpTo(MemoryBus &bus, std::uint64_t upto, Cycles now,
                        bool partial);
 
-    Addr baseAddr_;
-    std::uint64_t capacityBytes_;
+    Addr baseAddr_ = 0;
+    std::uint64_t capacityBytes_ = 0;
     WriteCategory category_;
     bool linePadded_;
 

@@ -57,6 +57,7 @@ class RedoLogBackend : public BaselineBase
 
   protected:
     void onCrash() override;
+    void addCores() override;
     bool redirectLoad(CoreId core, Addr line_vaddr, std::uint64_t offset,
                       void *buf, std::uint64_t size) override;
 

@@ -8,10 +8,17 @@ namespace ssp
 {
 
 ShadowPagingBackend::ShadowPagingBackend(const SspConfig &cfg)
-    : BaselineBase(cfg), shadow_(cfg.numCores),
+    : BaselineBase(cfg),
       mapJournal_(cfg.logBase(), cfg.logBytes(), WriteCategory::MetaJournal),
       pool_(cfg.shadowPoolBase(), cfg.shadowPoolPages)
 {
+    addCores();
+}
+
+void
+ShadowPagingBackend::addCores()
+{
+    shadow_.resize(cfg().numCores);
 }
 
 Ppn

@@ -46,6 +46,7 @@ class ShadowPagingBackend : public BaselineBase
 
   protected:
     void onCrash() override;
+    void addCores() override;
 
   private:
     void storeLine(CoreId core, Addr vaddr, const void *buf,

@@ -44,6 +44,7 @@ class UndoLogBackend : public BaselineBase
 
   protected:
     void onCrash() override {}
+    void addCores() override;
 
   private:
     void storeLine(CoreId core, Addr vaddr, const void *buf,

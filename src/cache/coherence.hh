@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/bitmap64.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace ssp
@@ -80,13 +81,25 @@ struct CoherenceParams
 class CoherenceModel
 {
   public:
-    explicit CoherenceModel(unsigned num_cores)
-        : numCores_(num_cores), flipsSent_(num_cores, 0),
-          invalidationsSent_(num_cores, 0), messagesReceived_(num_cores, 0)
-    {
-    }
+    explicit CoherenceModel(unsigned num_cores) { widen(num_cores); }
 
     virtual ~CoherenceModel() = default;
+
+    /**
+     * Grow to @p num_cores cores (at least the current count); the
+     * added cores start with zero per-core counters.  Only a model
+     * whose costs do not depend on the core count may widen after
+     * construction (CacheHierarchy::widen checks).
+     */
+    void
+    widen(unsigned num_cores)
+    {
+        ssp_assert(num_cores >= numCores_, "a machine never loses cores");
+        numCores_ = num_cores;
+        flipsSent_.resize(num_cores, 0);
+        invalidationsSent_.resize(num_cores, 0);
+        messagesReceived_.resize(num_cores, 0);
+    }
 
     /**
      * Price a flip-current-bit send for the sub-page holding @p line,
@@ -200,7 +213,7 @@ class CoherenceModel
     void countMessages(std::uint64_t n) { messages_ += n; }
 
   private:
-    unsigned numCores_;
+    unsigned numCores_ = 0;
     std::uint64_t flipMessages_ = 0;
     std::uint64_t invalidations_ = 0;
     std::uint64_t shootdownsDelivered_ = 0;

@@ -20,20 +20,42 @@ makeCoherenceModel(unsigned num_cores, Cycles broadcast_latency,
 CacheHierarchy::CacheHierarchy(unsigned num_cores,
                                const HierarchyParams &params, MemoryBus bus,
                                AnyCoherenceModel coherence)
-    : memory_(std::move(bus)), model_(std::move(coherence)), l3_(params.l3)
+    : params_(params), memory_(std::move(bus)),
+      model_(std::move(coherence)), l3_(params.l3)
 {
     ssp_assert(num_cores > 0);
+    addPrivateCaches(num_cores);
+}
+
+void
+CacheHierarchy::widen(unsigned num_cores)
+{
+    ssp_assert(directory() == nullptr,
+               "the mesh directory's geometry follows the core count");
+    coherence().widen(num_cores);
+    addPrivateCaches(num_cores);
+}
+
+void
+CacheHierarchy::addPrivateCaches(unsigned num_cores)
+{
+    ssp_assert(num_cores >= numCores(), "a machine never loses cores");
     ssp_assert(num_cores <= kMaxCores,
                "sharer bitmaps hold at most %u cores", kMaxCores);
     // Small machines never consult the index, so their fills skip the
     // bookkeeping — except under the directory, whose snoop filter the
-    // index feeds at every core count.
-    indexed_ = num_cores >= kSharerIndexMinCores || directory() != nullptr;
+    // index feeds at every core count.  The index mirrors every fill,
+    // so it can switch on only before the first one.
+    const bool indexed =
+        num_cores >= kSharerIndexMinCores || directory() != nullptr;
+    ssp_assert(indexed == indexed_ || l1s_.empty(),
+               "widening across the sharer-index cutover");
+    indexed_ = indexed;
     l1s_.reserve(num_cores);
     l2s_.reserve(num_cores);
-    for (unsigned i = 0; i < num_cores; ++i) {
-        l1s_.emplace_back(params.l1);
-        l2s_.emplace_back(params.l2);
+    while (l1s_.size() < num_cores) {
+        l1s_.emplace_back(params_.l1);
+        l2s_.emplace_back(params_.l2);
     }
 }
 

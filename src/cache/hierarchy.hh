@@ -75,6 +75,16 @@ class CacheHierarchy
     CacheHierarchy(unsigned num_cores, const HierarchyParams &params,
                    MemoryBus bus, AnyCoherenceModel coherence);
 
+    /**
+     * Grow to @p num_cores cores (at least the current count): the
+     * added cores get empty private caches and the coherence model
+     * their per-core counters, as in a fresh hierarchy that only the
+     * existing cores have used.  Only under broadcast, whose costs do
+     * not depend on the core count (the directory's mesh does), and
+     * only where the sharer-index choice stays the same.
+     */
+    void widen(unsigned num_cores);
+
     /** Timed read of the line containing @p addr. */
     Cycles read(CoreId core, Addr addr, Cycles now);
 
@@ -264,6 +274,9 @@ class CacheHierarchy
         return in_l1 || in_l2;
     }
 
+    /** Append empty private caches up to @p num_cores cores. */
+    void addPrivateCaches(unsigned num_cores);
+
     /** Handle a dirty victim evicted from level @p level (0=L1, 1=L2). */
     void handleVictim(CoreId core, unsigned level,
                       const CacheAccessResult &res, Cycles now);
@@ -285,6 +298,7 @@ class CacheHierarchy
     /** write() body; the public wrapper drains back-invalidations. */
     Cycles writeImpl(CoreId core, Addr addr, Cycles now);
 
+    HierarchyParams params_;
     MemoryBus memory_;
     AnyCoherenceModel model_;
     bool indexed_ = false;

@@ -17,10 +17,14 @@ namespace
 constexpr std::size_t kMmapBytes = std::size_t{1} << 20;
 
 /**
- * Most recycled mappings a thread keeps: enough for the two arrays of
- * a machine's shared cache plus those of one copy of the machine.
+ * Most recycled mappings a thread keeps: the two arrays of one
+ * machine's shared cache.  A setup group's copies hand theirs on to the
+ * next copy, and the original's to the next group's build.  Keeping a
+ * second machine's worth as well saves each group's first copy its page
+ * faults, but leaves those pages resident while a worker runs a group
+ * of one, which grows the peak across workers by more than it saves.
  */
-constexpr std::size_t kKeptMappings = 4;
+constexpr std::size_t kKeptMappings = 2;
 
 /** @{ A thread's recycled all-zero mappings.  Trivially destructible,
  *  so they stay usable while the thread's other objects are destroyed;

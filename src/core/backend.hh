@@ -60,6 +60,16 @@ class AtomicityBackend
      */
     virtual std::unique_ptr<AtomicityBackend> clone() const = 0;
 
+    /**
+     * Grow the design to @p num_cores cores (at least the current
+     * count), between transactions.  The added cores are idle, in the
+     * state a fresh build at that size leaves them after the existing
+     * cores' work: running the widened design gives exactly the results
+     * that fresh build would.  Needs broadcast coherence and an SSP
+     * cache whose size does not follow the core count.
+     */
+    virtual void widen(unsigned num_cores) = 0;
+
     /** Design name for reports ("SSP", "UNDO-LOG", ...). */
     virtual const char *name() const = 0;
 

@@ -9,9 +9,17 @@ namespace ssp
 
 ConflictManager::ConflictManager(unsigned num_cores,
                                  const ConflictParams &params)
-    : params_(params), enabled_(params.enabled && num_cores > 1),
-      tx_(num_cores)
+    : params_(params), enabled_(false)
 {
+    widen(num_cores);
+}
+
+void
+ConflictManager::widen(unsigned num_cores)
+{
+    ssp_assert(num_cores >= tx_.size(), "a machine never loses cores");
+    tx_.resize(num_cores);
+    enabled_ = params_.enabled && num_cores > 1;
 }
 
 void

@@ -84,8 +84,35 @@ class ConflictManager
   public:
     ConflictManager(unsigned num_cores, const ConflictParams &params);
 
+    /**
+     * Grow to @p num_cores cores (at least the current count).  The
+     * added cores have no transaction open, as on a fresh machine.
+     */
+    void widen(unsigned num_cores);
+
     /** True when conflicts are both requested and possible (> 1 core). */
     bool enabled() const { return enabled_; }
+
+    /**
+     * Tracking off for the scope's lifetime: every call is a no-op, as
+     * on one core.  The previous state comes back when the scope ends,
+     * on return or throw.  Workload::setup holds one around the prefill.
+     */
+    class Pause
+    {
+      public:
+        explicit Pause(ConflictManager &cm) : cm_(cm), was_(cm.enabled_)
+        {
+            cm_.enabled_ = false;
+        }
+        ~Pause() { cm_.enabled_ = was_; }
+        Pause(const Pause &) = delete;
+        Pause &operator=(const Pause &) = delete;
+
+      private:
+        ConflictManager &cm_;
+        bool was_;
+    };
 
     /** A transaction opened on @p core at simulated time @p now. */
     void beginTx(CoreId core, Cycles now);

@@ -39,14 +39,30 @@ class Machine
                   makeCoherenceModel(cfg.numCores, cfg.broadcastLatency,
                                      cfg.coherence)),
           pt_(cfg.pageWalkCycles, cfg.heapPages),
-          conflicts_(cfg.numCores, cfg.conflicts),
-          tlbs_(cfg.numCores, Tlb(cfg.tlbEntries)), clocks_(cfg.numCores, 0)
+          conflicts_(cfg.numCores, cfg.conflicts)
     {
+        addCores();
         // Identity-map the persistent heap up front.  Consolidation may
         // later retarget individual mappings; recovery relies on every
         // heap page having a page-table entry.
         for (std::uint64_t vpn = 0; vpn < cfg.heapPages; ++vpn)
             pt_.map(vpn, vpn);
+    }
+
+    /**
+     * Grow to @p num_cores cores (at least the current count).  The
+     * added cores are idle — empty TLBs and private caches, clock 0, no
+     * open transaction — as on a fresh machine of that size whose other
+     * cores alone have run.  Broadcast coherence only (see
+     * CacheHierarchy::widen).
+     */
+    void
+    widen(unsigned num_cores)
+    {
+        caches_.widen(num_cores);
+        conflicts_.widen(num_cores);
+        cfg_.numCores = num_cores;
+        addCores();
     }
 
     const SspConfig &cfg() const { return cfg_; }
@@ -127,6 +143,14 @@ class Machine
     }
 
   private:
+    /** Append idle TLBs and clocks up to cfg_.numCores cores. */
+    void
+    addCores()
+    {
+        tlbs_.resize(cfg_.numCores, Tlb(cfg_.tlbEntries));
+        clocks_.resize(cfg_.numCores, 0);
+    }
+
     SspConfig cfg_;
     PhysMem mem_;
     CacheHierarchy caches_;

@@ -53,14 +53,30 @@ controllerParams(const SspConfig &cfg)
 SspSystem::SspSystem(const SspConfig &cfg)
     : machine_(cfg), mc_(controllerParams(cfg))
 {
-    for (CoreId c = 0; c < cfg.numCores; ++c)
-        engines_.emplace_back(c, cfg);
+    addEngines();
+}
+
+void
+SspSystem::addEngines()
+{
+    for (auto c = static_cast<CoreId>(engines_.size()); c < cfg().numCores;
+         ++c)
+        engines_.emplace_back(c, cfg());
 }
 
 std::unique_ptr<AtomicityBackend>
 SspSystem::clone() const
 {
     return std::make_unique<SspSystem>(*this);
+}
+
+void
+SspSystem::widen(unsigned num_cores)
+{
+    machine_.widen(num_cores);
+    ssp_assert(cfg().effectiveSspSlots() == mc_.cache().numSlots(),
+               "the SSP cache size follows the core count");
+    addEngines();
 }
 
 void

@@ -38,6 +38,7 @@ class SspSystem : public AtomicityBackend
 
     // AtomicityBackend ----------------------------------------------------
     std::unique_ptr<AtomicityBackend> clone() const override;
+    void widen(unsigned num_cores) override;
     const char *name() const override { return "SSP"; }
     void begin(CoreId core) override;
     void commit(CoreId core) override;
@@ -71,6 +72,9 @@ class SspSystem : public AtomicityBackend
     Addr committedLocation(Addr vaddr);
 
   private:
+    /** Append one engine per core up to the machine's core count. */
+    void addEngines();
+
     Machine machine_;
     MemController mc_;
     std::vector<SspEngine> engines_;

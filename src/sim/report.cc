@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <variant>
 
 #include "common/logging.hh"
 
@@ -78,6 +79,73 @@ banner(const std::string &title)
 
 // ---- Json: construction and accessors --------------------------------------
 
+using JsonArray = std::vector<Json>;
+using JsonObject = std::vector<std::pair<std::string, Json>>;
+
+struct Json::Payload
+{
+    std::variant<std::string, JsonArray, JsonObject> value;
+
+    /** @{ @p j's contents as a T. @pre @p j holds a T. */
+    template <typename T>
+    static T &
+    of(Json &j)
+    {
+        return std::get<T>(j.payload_->value);
+    }
+
+    template <typename T>
+    static const T &
+    of(const Json &j)
+    {
+        return std::get<T>(j.payload_->value);
+    }
+    /** @} */
+};
+
+Json::Json() = default;
+Json::~Json() = default;
+
+Json::Json(Json &&other) noexcept
+    : kind_(std::exchange(other.kind_, Kind::Null)), bool_(other.bool_),
+      num_(other.num_), payload_(std::move(other.payload_))
+{
+}
+
+Json &
+Json::operator=(Json &&other) noexcept
+{
+    kind_ = std::exchange(other.kind_, Kind::Null);
+    bool_ = other.bool_;
+    num_ = other.num_;
+    payload_ = std::move(other.payload_);
+    return *this;
+}
+
+Json::Json(const Json &other)
+    : kind_(other.kind_), bool_(other.bool_), num_(other.num_),
+      payload_(other.payload_ ? std::make_unique<Payload>(*other.payload_)
+                              : nullptr)
+{
+}
+
+Json &
+Json::operator=(const Json &other)
+{
+    if (this != &other)
+        *this = Json(other);
+    return *this;
+}
+
+void
+Json::shrinkToFit()
+{
+    if (kind_ == Kind::Array)
+        Payload::of<JsonArray>(*this).shrink_to_fit();
+    else if (kind_ == Kind::Object)
+        Payload::of<JsonObject>(*this).shrink_to_fit();
+}
+
 Json
 Json::boolean(bool v)
 {
@@ -112,7 +180,7 @@ Json::str(std::string v)
 {
     Json j;
     j.kind_ = Kind::String;
-    j.str_ = std::move(v);
+    j.payload_ = std::make_unique<Payload>(std::move(v));
     return j;
 }
 
@@ -121,6 +189,7 @@ Json::array()
 {
     Json j;
     j.kind_ = Kind::Array;
+    j.payload_ = std::make_unique<Payload>(JsonArray{});
     return j;
 }
 
@@ -129,6 +198,7 @@ Json::object()
 {
     Json j;
     j.kind_ = Kind::Object;
+    j.payload_ = std::make_unique<Payload>(JsonObject{});
     return j;
 }
 
@@ -162,23 +232,24 @@ Json::asString() const
 {
     if (kind_ != Kind::String)
         ssp_fatal("JSON value is not a string");
-    return str_;
+    return Payload::of<std::string>(*this);
 }
 
 void
 Json::push(Json v)
 {
     ssp_assert(kind_ == Kind::Array, "push() on a non-array");
-    arr_.push_back(std::move(v));
+    v.shrinkToFit();
+    Payload::of<JsonArray>(*this).push_back(std::move(v));
 }
 
 std::size_t
 Json::size() const
 {
     if (kind_ == Kind::Array)
-        return arr_.size();
+        return Payload::of<JsonArray>(*this).size();
     if (kind_ == Kind::Object)
-        return obj_.size();
+        return Payload::of<JsonObject>(*this).size();
     ssp_fatal("size() on a non-container JSON value");
 }
 
@@ -186,28 +257,31 @@ const Json &
 Json::at(std::size_t i) const
 {
     ssp_assert(kind_ == Kind::Array, "at() on a non-array");
-    ssp_assert(i < arr_.size(), "JSON array index out of range");
-    return arr_[i];
+    const JsonArray &arr = Payload::of<JsonArray>(*this);
+    ssp_assert(i < arr.size(), "JSON array index out of range");
+    return arr[i];
 }
 
 void
 Json::set(const std::string &key, Json v)
 {
     ssp_assert(kind_ == Kind::Object, "set() on a non-object");
-    for (auto &member : obj_) {
+    v.shrinkToFit();
+    JsonObject &obj = Payload::of<JsonObject>(*this);
+    for (auto &member : obj) {
         if (member.first == key) {
             member.second = std::move(v);
             return;
         }
     }
-    obj_.emplace_back(key, std::move(v));
+    obj.emplace_back(key, std::move(v));
 }
 
 bool
 Json::has(const std::string &key) const
 {
     ssp_assert(kind_ == Kind::Object, "has() on a non-object");
-    for (const auto &member : obj_) {
+    for (const auto &member : Payload::of<JsonObject>(*this)) {
         if (member.first == key)
             return true;
     }
@@ -218,7 +292,7 @@ const Json &
 Json::operator[](const std::string &key) const
 {
     ssp_assert(kind_ == Kind::Object, "operator[] on a non-object");
-    for (const auto &member : obj_) {
+    for (const auto &member : Payload::of<JsonObject>(*this)) {
         if (member.first == key)
             return member.second;
     }
@@ -229,7 +303,7 @@ const std::vector<std::pair<std::string, Json>> &
 Json::members() const
 {
     ssp_assert(kind_ == Kind::Object, "members() on a non-object");
-    return obj_;
+    return Payload::of<JsonObject>(*this);
 }
 
 // ---- Json: serialization ---------------------------------------------------
@@ -317,40 +391,44 @@ Json::dump(int indent) const
             os << jsonNumberToString(j.num_);
             break;
           case Kind::String:
-            escapeJsonString(j.str_, os);
+            escapeJsonString(j.asString(), os);
             break;
-          case Kind::Array:
-            if (j.arr_.empty()) {
+          case Kind::Array: {
+            const JsonArray &arr = Payload::of<JsonArray>(j);
+            if (arr.empty()) {
                 os << "[]";
                 break;
             }
             os << '[' << nl;
-            for (std::size_t i = 0; i < j.arr_.size(); ++i) {
+            for (std::size_t i = 0; i < arr.size(); ++i) {
                 os << pad;
-                self(j.arr_[i], depth + 1, self);
-                if (i + 1 < j.arr_.size())
+                self(arr[i], depth + 1, self);
+                if (i + 1 < arr.size())
                     os << ',';
                 os << nl;
             }
             os << close_pad << ']';
             break;
-          case Kind::Object:
-            if (j.obj_.empty()) {
+          }
+          case Kind::Object: {
+            const JsonObject &obj = j.members();
+            if (obj.empty()) {
                 os << "{}";
                 break;
             }
             os << '{' << nl;
-            for (std::size_t i = 0; i < j.obj_.size(); ++i) {
+            for (std::size_t i = 0; i < obj.size(); ++i) {
                 os << pad;
-                escapeJsonString(j.obj_[i].first, os);
+                escapeJsonString(obj[i].first, os);
                 os << (indent > 0 ? ": " : ":");
-                self(j.obj_[i].second, depth + 1, self);
-                if (i + 1 < j.obj_.size())
+                self(obj[i].second, depth + 1, self);
+                if (i + 1 < obj.size())
                     os << ',';
                 os << nl;
             }
             os << close_pad << '}';
             break;
+          }
         }
     };
     emit(*this, 0, emit);

@@ -15,6 +15,13 @@ Experiment::clone() const
     return copy;
 }
 
+void
+Experiment::widen(unsigned num_cores, unsigned key_shards)
+{
+    backend->widen(num_cores);
+    workload->setKeyShards(key_shards);
+}
+
 Experiment
 makeExperiment(BackendKind backend_kind, WorkloadKind workload_kind,
                const SspConfig &cfg, const WorkloadScale &scale)

@@ -30,6 +30,14 @@ struct Experiment
      * gives bit for bit the results running this one would.
      */
     Experiment clone() const;
+
+    /**
+     * Grow the machine to @p num_cores idle cores and partition the
+     * workload's keys into @p key_shards shards (AtomicityBackend::widen):
+     * after setup, this equals building and setting up the experiment
+     * at that size, which setup never reads the shard count for.
+     */
+    void widen(unsigned num_cores, unsigned key_shards);
 };
 
 /**

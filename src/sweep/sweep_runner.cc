@@ -55,12 +55,31 @@ servesOpenLoop(const SweepCell &cell)
 }
 
 /**
+ * A cell whose post-setup state is the same at every core count but
+ * for the idle cores' parts, so a state set up on fewer cores widens
+ * to it (Experiment::widen): a closed-loop, single-machine cell under
+ * broadcast coherence, with the sharer index on.  Setup runs on core 0
+ * alone.  Its cost still follows the core count under the directory,
+ * whose mesh grows with the machine, and on one core, which sends no
+ * flip broadcasts; and the sharer index cannot switch on after fills.
+ */
+bool
+widensAcrossCores(const SweepCell &cell)
+{
+    return !runsOnCluster(cell) && cell.offeredLoad == 0 &&
+           cell.coherenceMode == CoherenceMode::Broadcast &&
+           cell.cores >= CacheHierarchy::kSharerIndexMinCores;
+}
+
+/**
  * Every input the state a cell starts its run from depends on: what
  * buildExperiment and the Cluster constructor read, plus what an
  * open-loop cell's calibration reads.  Cells with equal keys start
  * from identical states, so they share one.  Config and scale compare
  * whole (defaulted operator==), so a field added to either later can
- * never alias two different setups.
+ * never alias two different setups.  A widening cell's key leaves out
+ * its core and key-shard counts — setup reads neither — but keeps the
+ * SSP cache size, which can follow the core count.
  */
 struct SetupKey
 {
@@ -68,6 +87,7 @@ struct SetupKey
     WorkloadKind workload;
     SspConfig config;
     WorkloadScale scale;
+    unsigned sspSlots;
     unsigned machines;
     /** The calibration's core and request counts; 0 unless open-loop. */
     unsigned calibrationCores;
@@ -80,13 +100,19 @@ SetupKey
 setupKey(const SweepCell &cell)
 {
     const bool serve = servesOpenLoop(cell);
-    return {.backend = cell.backend,
-            .workload = cell.workload,
-            .config = cell.config(),
-            .scale = cell.scale,
-            .machines = cell.machines,
-            .calibrationCores = serve ? cell.cores : 0u,
-            .calibrationTxs = serve ? cell.txs : 0};
+    SetupKey key{.backend = cell.backend,
+                 .workload = cell.workload,
+                 .config = cell.config(),
+                 .scale = cell.scale,
+                 .sspSlots = cell.config().effectiveSspSlots(),
+                 .machines = cell.machines,
+                 .calibrationCores = serve ? cell.cores : 0u,
+                 .calibrationTxs = serve ? cell.txs : 0};
+    if (widensAcrossCores(cell)) {
+        key.config.numCores = 0;
+        key.scale.keyShards = 0;
+    }
+    return key;
 }
 
 /** Cell indices grouped by setup key, in order of first appearance. */
@@ -156,6 +182,14 @@ buildState(const SweepCell &cell, CellResult &res)
     return state;
 }
 
+/** Widen @p state, set up for @p cell's group, to @p cell's core and
+ *  key-shard counts. */
+void
+widenState(const SweepCell &cell, SetupState &state)
+{
+    state.cluster.shard(0).widen(cell.cores, cell.scale.keyShards);
+}
+
 /** Run @p cell from @p state, which is left as the run leaves it. */
 void
 runCell(const SweepCell &cell, SetupState &state, CellResult &res)
@@ -209,13 +243,15 @@ runCell(const SweepCell &cell, SetupState &state, CellResult &res)
 }
 
 /**
- * Run one setup group: build its state once, run every cell but the
- * last on a clone of it and the last on the original itself.  At most
- * the original and one clone are alive at a time, and a group of one
- * never clones.  The last cell, which consumes the original, carries
- * the build and setup time; every other cell carries its clone time.
- * A cell that throws is captured as !ok; a failed build fails every
- * cell of the group.
+ * Run one setup group: build its state once, at the group's smallest
+ * core count, run every cell but the last on a clone of it and the
+ * last on the original itself, each first widened to the cell's core
+ * count when its group has a widened key.  At most the original and one
+ * clone are alive at a time, and a group of one never clones.  The
+ * last cell, which consumes the original, carries the build and setup
+ * time; every cell carries its clone and widening time.  A cell that
+ * throws is captured as !ok; a failed build fails every cell of the
+ * group.
  */
 void
 runGroup(const std::vector<SweepCell> &cells,
@@ -226,11 +262,13 @@ runGroup(const std::vector<SweepCell> &cells,
     for (std::size_t i : group)
         results[i].cell = cells[i];
     CellResult &owner = results[group.back()];
+    const std::size_t smallest = *std::ranges::min_element(
+        group, {}, [&](std::size_t i) { return cells[i].cores; });
     std::optional<SetupState> original;
     std::string build_error;
     const auto build_start = Clock::now();
     try {
-        original.emplace(buildState(owner.cell, owner));
+        original.emplace(buildState(cells[smallest], owner));
     } catch (const std::exception &e) {
         build_error = e.what();
     }
@@ -243,11 +281,19 @@ runGroup(const std::vector<SweepCell> &cells,
         try {
             if (!original)
                 throw std::runtime_error(build_error);
+            const bool widens = widensAcrossCores(res.cell);
             if (last) {
+                if (widens) {
+                    const auto widen_start = Clock::now();
+                    widenState(res.cell, *original);
+                    res.hostMillisClone = msSince(widen_start);
+                }
                 runCell(res.cell, *original, res);
             } else {
                 const auto clone_start = Clock::now();
                 SetupState copy = original->clone();
+                if (widens)
+                    widenState(res.cell, copy);
                 res.hostMillisClone = msSince(clone_start);
                 runCell(res.cell, copy, res);
             }

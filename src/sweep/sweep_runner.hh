@@ -54,7 +54,8 @@ struct CellResult
      *  state carries the group's build (machine and workload
      *  construction) and setup (Workload::setup plus a serve group's
      *  calibration) time; every other cell of the group carries the
-     *  time it took to clone that state instead. */
+     *  time it took to clone that state instead.  A cell whose group
+     *  spans core counts adds its widening to its clone time. */
     double hostMillisBuild = 0;
     double hostMillisSetup = 0;
     double hostMillisClone = 0;
@@ -73,10 +74,15 @@ using CellCallback =
  * backend, workload, the whole SspConfig and WorkloadScale, machine
  * count, and for an open-loop cell its calibration's core and request
  * counts — form one setup group, e.g. the load points of one queue
- * cell or the fault rates of one fault cell.  A worker takes a whole
- * group: it builds and sets up the state once, runs every cell but the
- * last on a clone of it and the last on the original, so each worker
- * holds at most one original and one clone.  A clone runs bit for bit
+ * cell or the fault rates of one fault cell.  A closed-loop broadcast
+ * cell on one machine with at least
+ * CacheHierarchy::kSharerIndexMinCores cores groups across core (and
+ * so key-shard) counts too: the group sets up at its smallest core
+ * count, and each cell runs on the state widened to its own
+ * (Experiment::widen).  A worker takes a whole group: it builds and
+ * sets up the state once, runs every cell but the last on a clone of
+ * it and the last on the original, so each worker holds at most one
+ * original and one clone.  A clone, widened or not, runs bit for bit
  * like a fresh build, so results do not depend on the grouping.
  *
  * A throwing cell is captured as !ok instead of taking the sweep down

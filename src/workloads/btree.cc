@@ -23,7 +23,7 @@ BTreeWorkload::newNode(CoreId c, bool leaf)
 }
 
 void
-BTreeWorkload::setup()
+BTreeWorkload::populate()
 {
     rootAddr_ = alloc_->allocate(sizeof(std::uint64_t), 8);
     const std::uint64_t zero = 0;

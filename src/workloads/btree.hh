@@ -43,7 +43,6 @@ class BTreeWorkload : public Workload
     {
         return dist_ == KeyDist::Zipf ? "BTree-Zipf" : "BTree-Rand";
     }
-    void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
 
@@ -60,6 +59,8 @@ class BTreeWorkload : public Workload
     scan(CoreId core, std::uint64_t key, unsigned limit);
 
   private:
+    void populate() override;
+
     static constexpr unsigned kFanout = 32;  ///< max keys per node
     static constexpr std::uint64_t kNodeSize = 768;
 

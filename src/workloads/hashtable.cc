@@ -45,7 +45,7 @@ HashWorkload::bucketAddr(std::uint64_t key) const
 }
 
 void
-HashWorkload::setup()
+HashWorkload::populate()
 {
     table_ = alloc_->allocate(buckets_ * sizeof(std::uint64_t), kLineSize);
     const std::uint64_t zero = 0;

@@ -43,7 +43,6 @@ class HashWorkload : public Workload
     {
         return dist_ == KeyDist::Zipf ? "Hash-Zipf" : "Hash-Rand";
     }
-    void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
 
@@ -56,6 +55,8 @@ class HashWorkload : public Workload
     void upsertOrDelete(CoreId core, std::uint64_t key);
 
   private:
+    void populate() override;
+
     // key, value, next; padded to one cache line (PM idiom).
     static constexpr std::uint64_t kNodeSize = 64;
 

@@ -41,7 +41,7 @@ KvStoreWorkload::bucketAddr(std::uint64_t key) const
 }
 
 void
-KvStoreWorkload::setup()
+KvStoreWorkload::populate()
 {
     table_ =
         alloc_->allocate(params_.buckets * sizeof(std::uint64_t), kLineSize);

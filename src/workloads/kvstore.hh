@@ -47,7 +47,6 @@ class KvStoreWorkload : public Workload
     }
 
     const char *name() const override { return "Memcached"; }
-    void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
 
@@ -61,6 +60,8 @@ class KvStoreWorkload : public Workload
     bool get(CoreId core, std::uint64_t key);
 
   private:
+    void populate() override;
+
     // Item layout: key(8) value-seq(8) next(8) lru_prev(8) lru_next(8)
     // then valueBytes of payload.
     static constexpr std::uint64_t kKeyOff = 0;

@@ -13,7 +13,7 @@ RbTreeWorkload::RbTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
 }
 
 void
-RbTreeWorkload::setup()
+RbTreeWorkload::populate()
 {
     rootAddr_ = alloc_->allocate(sizeof(std::uint64_t), 8);
     const std::uint64_t zero = 0;

@@ -40,7 +40,6 @@ class RbTreeWorkload : public Workload
     {
         return dist_ == KeyDist::Zipf ? "RBTree-Zipf" : "RBTree-Rand";
     }
-    void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
 
@@ -56,6 +55,8 @@ class RbTreeWorkload : public Workload
     bool invariantsHold();
 
   private:
+    void populate() override;
+
     // 40 bytes of fields, padded to one cache line (PM idiom).
     static constexpr std::uint64_t kNodeSize = 64;
 

@@ -19,7 +19,7 @@ SpsWorkload::elemAddr(std::uint64_t idx) const
 }
 
 void
-SpsWorkload::setup()
+SpsWorkload::populate()
 {
     base_ = alloc_->allocate(numElements_ * sizeof(std::uint64_t),
                             kLineSize);

@@ -33,11 +33,12 @@ class SpsWorkload : public Workload
     }
 
     const char *name() const override { return "SPS"; }
-    void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
 
   private:
+    void populate() override;
+
     Addr elemAddr(std::uint64_t idx) const;
 
     std::uint64_t numElements_;

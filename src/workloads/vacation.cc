@@ -47,7 +47,7 @@ VacationWorkload::custBucket(std::uint64_t id) const
 }
 
 void
-VacationWorkload::setup()
+VacationWorkload::populate()
 {
     const std::uint64_t zero = 0;
     for (unsigned t = 0; t < 3; ++t) {

@@ -49,13 +49,14 @@ class VacationWorkload : public Workload
     }
 
     const char *name() const override { return "Vacation"; }
-    void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
 
     std::uint64_t reservationsMade() const { return reservations_; }
 
   private:
+    void populate() override;
+
     // Resource record: id(8) price(8) total(8) free(8) next(8) = 40 B.
     static constexpr std::uint64_t kResSize = 40;
     // Customer record: id(8) bill(8) res_head(8) next(8) = 32 B.

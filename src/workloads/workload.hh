@@ -71,10 +71,26 @@ class Workload
     virtual const char *name() const = 0;
 
     /**
-     * Populate the initial state (runs as ordinary transactions on
-     * core 0; the driver resets measurement counters afterwards).
+     * Populate the initial state (populate(): ordinary transactions on
+     * core 0; the driver resets measurement counters afterwards), with
+     * the machine's conflict tracking paused throughout and restored on
+     * return or throw.
+     *
+     * Pausing is exact.  The prefill runs on core 0 alone and validation
+     * counts only peer records, so every setup validation passes either
+     * way.  Every run path opens with a barrier (the round-robin start
+     * barrier, serve's syncClocks) that lifts each core's next begin
+     * point to at least every setup commit point, and a validation
+     * window is (begin, now] — so no setup record could ever fall inside
+     * one.  Tracked, those records only sat in the log (the idle cores
+     * hold the prune floor at clock 0) for every clone to copy.
      */
-    virtual void setup() = 0;
+    void
+    setup()
+    {
+        const ConflictManager::Pause pause(backend().machine().conflicts());
+        populate();
+    }
 
     /** Execute one operation == one durable transaction on @p core. */
     virtual void runOp(CoreId core) = 0;
@@ -103,6 +119,9 @@ class Workload
 
   protected:
     Workload(const Workload &) = default;
+
+    /** The prefill setup() runs; see setup(). */
+    virtual void populate() = 0;
 
     /** clone() for the concrete workload type @p Self. */
     template <typename Self>

@@ -3,9 +3,10 @@
  * Clone tests: a cloned experiment, serve calibration or cluster runs
  * bit for bit like a fresh build, passes verify() and crash recovery,
  * and leaves its original untouched — also once the original is gone,
- * so a clone holds nothing that points into it — and runSweep, which
- * runs the cells of a setup group on clones of one built state,
- * reports exactly what per-cell fresh runs report.
+ * so a clone holds nothing that points into it — a clone widened to
+ * more cores runs like a fresh build at that size, and runSweep, which
+ * runs the cells of a setup group on (widened) clones of one built
+ * state, reports exactly what per-cell fresh runs report.
  */
 
 #include <string>
@@ -341,6 +342,74 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+// ---- Experiment::widen -----------------------------------------------------
+
+using WidenParam = std::tuple<BackendKind, WorkloadKind>;
+
+class WidenedClone : public ::testing::TestWithParam<WidenParam>
+{
+};
+
+/** The scale64 grid's machine: broadcast, SSP cache size fixed. */
+SspConfig
+bigMachine(unsigned cores)
+{
+    return sweep::findFigure("scale64")->machine(cores);
+}
+
+TEST_P(WidenedClone, RunsLikeAFreshBuildAtItsCoreCount)
+{
+    const auto [backend, workload] = GetParam();
+    // The partitioned scenario shards its keys per core, as in the
+    // grids; setup never reads the shard count.
+    auto shards = [&](unsigned cores) {
+        return workload == WorkloadKind::HashRand ? cores : 1u;
+    };
+    auto fresh_run = [&](unsigned cores, std::uint64_t txs) {
+        Experiment fresh = buildExperiment(backend, workload,
+                                           bigMachine(cores),
+                                           smallScale(shards(cores)));
+        return runExperiment(fresh, txs, cores);
+    };
+    constexpr std::uint64_t kTxs = 150;
+
+    Experiment original = buildExperiment(backend, workload, bigMachine(8),
+                                          smallScale(shards(8)));
+    // At 24 cores the per-core log regions are no power of two apart,
+    // so a log left where the 8-core carve put it lands on another bank
+    // than a fresh build's and the run's timing diverges.
+    for (unsigned cores : {16u, 24u, 64u}) {
+        Experiment copy = original.clone();
+        copy.widen(cores, shards(cores));
+        EXPECT_TRUE(runExperiment(copy, kTxs, cores) ==
+                    fresh_run(cores, kTxs))
+            << cores;
+        EXPECT_TRUE(copy.workload->verify()) << cores;
+        EXPECT_TRUE(verifyAfterCrash(copy)) << cores;
+    }
+    // Widening a copy leaves the original at its own size, untouched.
+    EXPECT_TRUE(runExperiment(original, kTxs, 8) == fresh_run(8, kTxs));
+    EXPECT_TRUE(original.workload->verify());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsWorkloads, WidenedClone,
+    ::testing::Combine(
+        ::testing::Values(BackendKind::Ssp, BackendKind::UndoLog,
+                          BackendKind::RedoLog, BackendKind::Shadow),
+        ::testing::Values(WorkloadKind::Sps, WorkloadKind::BTreeZipf,
+                          WorkloadKind::HashRand)),
+    [](const ::testing::TestParamInfo<WidenParam> &info) {
+        std::string name =
+            std::string(backendKindName(std::get<0>(info.param))) + "_" +
+            workloadKindName(std::get<1>(info.param));
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
+
 // ---- runSweep setup groups ------------------------------------------------
 
 sweep::SweepGridOptions
@@ -399,6 +468,40 @@ TEST(SweepGroups, FaultRatesAndReplicationOnClonesMatchFreshRuns)
     const auto want = freshRuns(cells);
     expectSameResults(sweep::runSweep(cells, 1), want);
     expectSameResults(sweep::runSweep(cells, 3), want);
+}
+
+TEST(SweepGroups, BroadcastPlanesOnWidenedClonesMatchFreshRuns)
+{
+    // Each broadcast (backend, workload) plane sets up once, at 16
+    // cores, and its 64-core cell runs on the state widened to 64; the
+    // directory cells set up per core count.  The reference builds
+    // every cell on its own, outside runSweep.
+    sweep::SweepGridOptions opts = smallGridOptions();
+    opts.coreCounts = {16, 64};
+    opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashRand};
+    const auto cells = sweep::buildFigureGrid("scale256", opts);
+    std::vector<sweep::CellResult> want;
+    for (const sweep::SweepCell &cell : cells) {
+        Experiment exp = buildExperiment(cell.backend, cell.workload,
+                                         cell.config(), cell.scale);
+        sweep::CellResult r;
+        r.cell = cell;
+        r.run = runExperiment(exp, cell.txs, cell.cores);
+        r.ok = true;
+        want.push_back(std::move(r));
+    }
+    expectSameResults(sweep::runSweep(cells, 1), want);
+    const auto results = sweep::runSweep(cells, 3);
+    expectSameResults(results, want);
+    // The 64-core cell, last of its group, set the state up (at 16
+    // cores) and widened it in place; the 16-core cell ran on a clone.
+    for (const sweep::CellResult &r : results) {
+        const bool broadcast =
+            r.cell.coherenceMode == CoherenceMode::Broadcast;
+        EXPECT_EQ(r.hostMillisSetup == 0.0, broadcast && r.cell.cores == 16)
+            << r.cell.label();
+        EXPECT_EQ(r.hostMillisClone > 0.0, broadcast) << r.cell.label();
+    }
 }
 
 TEST(SweepGroups, TimedPhasesShowWhichCellBuiltAndWhichCloned)

@@ -3,13 +3,17 @@
  * Concurrent-transaction conflict handling: first-committer-wins
  * window semantics, write-write vs read-write classification, the lazy
  * validation mode, rollback of conflicting transactions through each
- * backend's abort machinery, retry accounting in RunResult, sweep
- * determinism across worker counts, and single-core bit-identity
- * against the checked-in smoke report.
+ * backend's abort machinery, tracking paused during workload setup,
+ * retry accounting in RunResult, sweep determinism across worker
+ * counts, and single-core bit-identity against the checked-in smoke
+ * report.
  */
 
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -348,6 +352,105 @@ TEST(ConflictRollback, SspWriteSetMirrorsTheTxBitTaggedLines)
     EXPECT_EQ(cm.writeSetSize(1), 0u);
     EXPECT_FALSE(m.caches().txBitSet(1, spec));
     EXPECT_EQ(raw64(sys, addr), 7u);
+}
+
+// ---- setup runs with tracking paused --------------------------------------
+
+class SetupPausesTracking : public ::testing::TestWithParam<BackendKind>
+{
+  protected:
+    /** A contended BTree-Zipf experiment on a 4-core machine. */
+    static Experiment
+    make()
+    {
+        WorkloadScale scale;
+        scale.keySpace = 256;
+        scale.seed = 11;
+        return makeExperiment(GetParam(), WorkloadKind::BTreeZipf,
+                              smallConfig(4), scale);
+    }
+};
+
+TEST_P(SetupPausesTracking, LeavesNoCommitRecordsAndTrackingOn)
+{
+    Experiment exp = make();
+    const ConflictManager &cm = exp.backend->machine().conflicts();
+    ASSERT_TRUE(cm.enabled());
+    exp.workload->setup();
+    EXPECT_EQ(cm.logSize(), 0u);
+    EXPECT_TRUE(cm.enabled());
+}
+
+TEST_P(SetupPausesTracking, ContendedRunAbortsAsWithTrackedSetup)
+{
+    // Two cores of the four contend after setup; the abort and retry
+    // counts are the ones measured when setup still tracked conflicts
+    // (and left its commit records in the log).
+    Experiment exp = make();
+    exp.workload->setup();
+    const RunResult run = runExperiment(exp, 200, 2);
+    const std::map<BackendKind, std::uint64_t> tracked_setup_aborts = {
+        {BackendKind::Ssp, 28},
+        {BackendKind::UndoLog, 43},
+        {BackendKind::RedoLog, 27},
+        {BackendKind::Shadow, 46},
+    };
+    EXPECT_EQ(run.txAborts, tracked_setup_aborts.at(GetParam()));
+    EXPECT_EQ(run.txRetries, run.txAborts);
+    EXPECT_EQ(run.committedTxs, 200u);
+    EXPECT_TRUE(exp.workload->verify());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SetupPausesTracking,
+    ::testing::Values(BackendKind::Ssp, BackendKind::UndoLog,
+                      BackendKind::RedoLog, BackendKind::Shadow),
+    [](const ::testing::TestParamInfo<BackendKind> &info) {
+        std::string name = backendKindName(info.param);
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
+
+/** A workload whose prefill fails midway through a transaction. */
+class ThrowingSetupWorkload final : public Workload
+{
+  public:
+    using Workload::Workload;
+
+    std::unique_ptr<Workload>
+    clone(AtomicityBackend &be, PersistAlloc &alloc) const override
+    {
+        return cloneAs<ThrowingSetupWorkload>(be, alloc);
+    }
+    const char *name() const override { return "throwing-setup"; }
+    void runOp(CoreId) override {}
+    bool verify() override { return true; }
+
+    /** Whether tracking was on while the prefill ran. */
+    bool trackedDuringPopulate = true;
+
+  private:
+    void
+    populate() override
+    {
+        trackedDuringPopulate = backend().machine().conflicts().enabled();
+        backend().begin(0);
+        throw std::runtime_error("prefill failed");
+    }
+};
+
+TEST(SetupTracking, ASetupThatThrowsLeavesTrackingOn)
+{
+    const SspConfig cfg = smallConfig(4);
+    UndoLogBackend be(cfg);
+    PersistAlloc alloc(kPageSize, cfg.heapPages * kPageSize);
+    ThrowingSetupWorkload w(be, alloc);
+    EXPECT_THROW(w.setup(), std::runtime_error);
+    EXPECT_FALSE(w.trackedDuringPopulate);
+    EXPECT_TRUE(be.machine().conflicts().enabled());
 }
 
 // ---- end-to-end: driver, counters, reports ------------------------------

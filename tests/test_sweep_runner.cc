@@ -3,7 +3,8 @@
  * Sweep subsystem tests: grid construction, determinism of the parallel
  * runner (identical results for any worker count), JSON round-trip of
  * the emitted BENCH_*.json report, replay of a filtered slice of every
- * checked-in BENCH_*.json, and the CLI count parsers.
+ * checked-in BENCH_*.json, which cells share a setup, and the CLI count
+ * parsers.
  */
 
 #include <cstdio>
@@ -323,6 +324,29 @@ TEST(SweepReport, JsonParserHandlesEscapesAndNesting)
     EXPECT_THROW(Json::parse("[nan]"), std::runtime_error);
     EXPECT_THROW(Json::parse("[+1]"), std::runtime_error);
     EXPECT_THROW(Json::parse("[0x10]"), std::runtime_error);
+}
+
+TEST(SweepReport, JsonCopiesAreDeepAndAMovedFromValueIsNull)
+{
+    Json doc = Json::object();
+    Json list = Json::array();
+    list.push(Json::str("x"));
+    doc.set("list", list);
+    doc.set("n", Json::number(std::uint64_t{7}));
+
+    Json copy = doc;
+    copy.set("n", Json::number(std::uint64_t{8}));
+    copy.set("extra", Json::boolean(true));
+    EXPECT_EQ(doc.dump(), "{\"list\":[\"x\"],\"n\":7}");
+    EXPECT_EQ(copy.dump(), "{\"list\":[\"x\"],\"n\":8,\"extra\":true}");
+    EXPECT_EQ(list.size(), 1u); // set() copied it in
+
+    copy = doc;
+    EXPECT_EQ(copy.dump(), doc.dump());
+    const Json moved = std::move(copy);
+    EXPECT_EQ(moved.dump(), doc.dump());
+    EXPECT_TRUE(copy.isNull()); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.dump(), "null");
 }
 
 TEST(SweepReport, NumberFormattingIsAShortestRoundTripFixedPoint)
@@ -715,6 +739,42 @@ TEST(SweepGrid, Scale256SeedsArePinnedAcrossCoherenceModesAndCores)
             }
         }
     }
+}
+
+/** How many setups runSweep ran for @p cells: the cell that builds a
+ *  setup group's state is the only one with build time. */
+std::size_t
+setupsRun(const std::vector<SweepCell> &cells)
+{
+    std::size_t setups = 0;
+    for (const CellResult &r : runSweep(cells, 2)) {
+        EXPECT_TRUE(r.ok) << r.cell.label() << ": " << r.error;
+        if (r.hostMillisBuild > 0)
+            ++setups;
+    }
+    return setups;
+}
+
+TEST(SweepRunner, OnlyBroadcastCellsFromFiveCoresShareASetupAcrossCores)
+{
+    SweepGridOptions opts;
+    opts.txs = 20;
+    opts.scale.keySpace = 256;
+    opts.scale.spsElements = 1024;
+    opts.backends = {BackendKind::Ssp};
+    opts.workloads = {WorkloadKind::Sps, WorkloadKind::HashRand};
+    // Two planes.  Each sets up alone at 1 and 4 cores and for every
+    // directory cell, and once for its broadcast cells at 16 and 64.
+    opts.coreCounts = {1, 4, 16, 64};
+    EXPECT_EQ(setupsRun(buildFigureGrid("scale256", opts)),
+              2u * (2 + 2 + 2 + 1));
+    // Below the sharer-index cutover no broadcast cell groups either.
+    opts.coreCounts = {2, 4};
+    EXPECT_EQ(setupsRun(buildFigureGrid("scale64", opts)), 2u * 2);
+    // Open-loop cells share a calibrated setup across loads only.
+    opts.coreCounts = {8, 16};
+    opts.loads = {0.3, 0.6};
+    EXPECT_EQ(setupsRun(buildFigureGrid("queue", opts)), 2u * 2);
 }
 
 TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
